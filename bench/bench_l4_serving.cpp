@@ -1,8 +1,8 @@
 // Level 4 inference-serving SLO benchmark: an open-loop Poisson load
 // driven through a SessionPool under each batching policy (none / fixed /
 // deadline / adaptive), reporting completed throughput and latency
-// percentiles (p50/p95/p99 as CI-gated summaries over trials, p99.9 from
-// the runtime histogram's arbitrary-quantile API).
+// percentiles (p50/p95/p99 as CI-gated summaries over trials, p99.9 over
+// the pooled trials), all on the load generator's clock.
 //
 // Methodology: per-request service capacity is calibrated first (warm
 // run_batch timings at bucket 1 and at the largest bucket), then every
@@ -14,10 +14,11 @@
 // serve/loadgen). Every trial runs a fresh pool from the same seed stream.
 //
 // Gates carried in BENCH_serving.json: the batched-vs-solo bitwise
-// identity flag, and dynamic batching sustaining >= 2x the no-batching
-// throughput at a bounded p99. Latency summaries are stamped
-// lower-is-better so bench_diff applies the §V-B criterion in the right
-// direction (or override ad hoc with --direction).
+// identity flag, monotone latency quantiles per policy, and dynamic
+// batching sustaining >= 2x the no-batching throughput at a bounded p99.
+// Latency summaries are stamped lower-is-better so bench_diff applies the
+// §V-B criterion in the right direction (or override ad hoc with
+// --direction).
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
@@ -120,7 +121,8 @@ struct PolicyRow {
   SampleSummary throughput;  // requests/s over trials
   SampleSummary p50_ms, p95_ms, p99_ms;
   double best_thr = 0.0, worst_thr = 0.0;  // trial extremes (capability flag)
-  double p999_ms = 0.0;      // registry histogram, arbitrary-quantile API
+  double p999_ms = 0.0;      // pooled over all trials (one per-trial tail
+                             // holds only ~n/1000 samples)
   double mean_batch = 0.0;
   std::int64_t padded_rows = 0;
   std::int64_t deadline_launches = 0;
@@ -177,7 +179,7 @@ int run() {
     MetricsRegistry::instance().reset();  // pools are down between policies
     PolicyRow row;
     row.policy = policy;
-    std::vector<double> thr, p50, p95, p99;
+    std::vector<double> thr, p50, p95, p99, all_latency_s;
     SessionPool::Stats last{};
     double mean_batch_sum = 0.0;
     for (int trial = 0; trial < trials; ++trial) {
@@ -194,6 +196,8 @@ int run() {
       p50.push_back(quantile(res.latency_s, 0.50) * 1e3);
       p95.push_back(quantile(res.latency_s, 0.95) * 1e3);
       p99.push_back(quantile(res.latency_s, 0.99) * 1e3);
+      all_latency_s.insert(all_latency_s.end(), res.latency_s.begin(),
+                           res.latency_s.end());
       last = pool.stats();
       mean_batch_sum += last.mean_batch();
     }
@@ -203,12 +207,9 @@ int run() {
     row.p50_ms = summarize(p50);
     row.p95_ms = summarize(p95);
     row.p99_ms = summarize(p99);
-    // p99.9 across ALL trials of this policy, from the sharded runtime
-    // histogram (serving's Histogram::quantile(q) use case).
-    row.p999_ms = MetricsRegistry::instance()
-                      .histogram("serve.request_latency_ns")
-                      .quantile(0.999) *
-                  1e-6;
+    // Every quantile uses one clock: the load generator's scheduled
+    // arrival -> reply. p99.9 pools all trials of this policy.
+    row.p999_ms = quantile(all_latency_s, 0.999) * 1e3;
     row.mean_batch = mean_batch_sum / trials;
     row.padded_rows = last.padded_rows;
     row.deadline_launches = last.deadline_launches;
@@ -239,6 +240,14 @@ int run() {
   report.add_scalar("adaptive_vs_none_speedup",
                     none_thr > 0.0 ? adaptive_thr / none_thr : 0.0, "x");
   report.add_flag("batched_bitwise_identical", bitwise_ok);
+  // One latency definition per table: p50 <= p95 <= p99 <= p99.9 must hold
+  // for every policy (it cannot when columns come from different clocks).
+  report.add_flag("quantiles_monotone",
+                  std::all_of(rows.begin(), rows.end(), [](const PolicyRow& r) {
+                    return r.p50_ms.median <= r.p95_ms.median &&
+                           r.p95_ms.median <= r.p99_ms.median &&
+                           r.p99_ms.median <= r.p999_ms;
+                  }));
   // The SLO headline: dynamic batching must at least double the
   // no-batching completed throughput while its p99 stays bounded (100 ms
   // is orders of magnitude above the deadline + service time on any host;

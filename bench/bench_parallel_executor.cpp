@@ -1,11 +1,11 @@
 // Inter-op parallel execution: training-step time of a branchy model under
 // the shared thread-pool runtime. Rows cover the two parallelism layers
-// separately — the reference executor at N threads gets intra-op
-// parallelism only (kernels on the pool), while ParallelExecutor also
-// schedules independent branches concurrently through its dependency
-// table. The determinism contract is checked alongside the timing: an
-// FNV-1a checksum over all outputs and gradients must be identical across
-// every executor/thread-count combination.
+// separately — the serial plan at N threads gets intra-op parallelism only
+// (kernels on the pool), while the parallel plan (ExecOptions::parallel)
+// also schedules independent forward branches concurrently through its
+// compiled dependency table. The determinism contract is checked alongside
+// the timing: an FNV-1a checksum over all outputs and gradients must be
+// identical across every schedule/thread-count combination.
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
@@ -17,8 +17,8 @@
 #include "common.hpp"
 #include "core/rng.hpp"
 #include "core/threadpool.hpp"
+#include "frameworks/plan_executor.hpp"
 #include "graph/model.hpp"
-#include "graph/parallel_executor.hpp"
 #include "graph/visitor.hpp"
 
 namespace d500::bench {
@@ -139,17 +139,16 @@ int run() {
     Row r;
     r.label = label;
     r.threads = threads;
-    if (inter_op)
-      r.exec = std::make_unique<ParallelExecutor>(build_network(m));
-    else
-      r.exec = std::make_unique<ReferenceExecutor>(build_network(m));
+    ExecOptions opts;
+    opts.parallel = inter_op;
+    r.exec = std::make_unique<PlanExecutor>(build_network(m), label, opts);
     return r;
   };
   std::vector<Row> rows;
-  rows.push_back(make_row("reference (serial)", 1, false));
-  rows.push_back(make_row("parallel, 1 thread", 1, true));
-  rows.push_back(make_row("reference, intra-op only", par_threads, false));
-  rows.push_back(make_row("parallel, intra+inter-op", par_threads, true));
+  rows.push_back(make_row("plan serial, 1 thread", 1, false));
+  rows.push_back(make_row("plan parallel, 1 thread", 1, true));
+  rows.push_back(make_row("plan serial, intra-op only", par_threads, false));
+  rows.push_back(make_row("plan parallel, intra+inter-op", par_threads, true));
 
   // Interleave the configurations round-robin: one timed step of each per
   // rerun, so background-load drift hits all rows equally instead of

@@ -78,7 +78,15 @@ void ThreadPool::record_queue_wait(std::int64_t enq_ns) {
   h.record(static_cast<double>(metrics_detail::now_ns() - enq_ns));
 }
 
-void ThreadPool::notify() { cv_.notify_all(); }
+void ThreadPool::notify() {
+  // Empty critical section: help_while evaluates done() under mu_, so a
+  // completer that flipped its flag without the lock would otherwise be
+  // able to notify between a waiter's failed check and its block on cv_ —
+  // a lost wakeup. Taking mu_ orders this notify after any check in
+  // progress: the waiter either sees the new state or is already waiting.
+  { std::lock_guard<std::mutex> lock(mu_); }
+  cv_.notify_all();
+}
 
 void ThreadPool::worker_loop() {
   for (;;) {

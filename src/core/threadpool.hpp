@@ -56,7 +56,9 @@ class ThreadPool {
   /// blocked caller whose condition changed with notify().
   void help_while(const std::function<bool()>& done);
 
-  /// Wakes help_while callers so they re-evaluate their condition.
+  /// Wakes help_while callers so they re-evaluate their condition. Safe to
+  /// call right after storing the state `done()` reads, without holding
+  /// any lock: the wakeup cannot fall between a caller's check and block.
   void notify();
 
  private:

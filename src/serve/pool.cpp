@@ -126,7 +126,7 @@ SessionPool::SessionPool(const Model& model, PoolOptions opts)
   batcher_ = AdaptiveBatcher(opts_.max_batch);
 
   auto& reg = MetricsRegistry::instance();
-  lat_hist_ = &reg.histogram("serve.request_latency_ns");
+  lat_hist_ = &reg.histogram("serve.service_latency_ns");
   batch_hist_ = &reg.histogram("serve.batch_size", "requests");
   depth_gauge_ = &reg.gauge("serve.queue_depth");
   req_counter_ = &reg.counter("serve.requests");

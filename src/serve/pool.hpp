@@ -201,7 +201,8 @@ class SessionPool {
   std::atomic<std::int64_t> max_batch_launched_{0};
 
   // Metrics sites resolved once at construction (compile-resolved pattern):
-  // per-request latency, per-launch batch size, live queue depth.
+  // per-request service latency (enqueue -> done; the load generator owns
+  // the scheduled-arrival clock), per-launch batch size, live queue depth.
   Histogram* lat_hist_ = nullptr;
   Histogram* batch_hist_ = nullptr;
   Gauge* depth_gauge_ = nullptr;
