@@ -1,6 +1,7 @@
 #include "dist/dist_optimizer.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "core/env.hpp"
@@ -82,10 +83,7 @@ TensorMap ConsistentDecentralized::train(const TensorMap& feeds) {
   return step_with_gradients(feeds, [&] {
     const float inv_n = 1.0f / static_cast<float>(comm_.size());
     auto allreduce = [&](std::span<float> data) {
-      if (options_.algo == AllreduceAlgo::kRing)
-        comm_.allreduce_sum_ring(data);
-      else
-        comm_.allreduce_sum_rd(data);
+      comm_.allreduce_sum_ring(data);
       count(data.size() * sizeof(float));
     };
 
@@ -312,101 +310,6 @@ TensorMap ShardedParameterServer::train(const TensorMap& feeds) {
   });
 }
 
-// ---- ParameterStore + asynchronous variants --------------------------------
-
-ParameterStore::ParameterStore(const Network& net) {
-  for (const auto& pname : net.parameters())
-    params_.emplace(pname, net.fetch_tensor(pname));
-}
-
-void ParameterStore::register_worker(int rank, int world) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (steps_.size() != static_cast<std::size_t>(world))
-    steps_.assign(static_cast<std::size_t>(world), 0);
-}
-
-std::uint64_t ParameterStore::pull_into(Network& net) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t bytes = 0;
-  for (const auto& [pname, value] : params_) {
-    net.feed_tensor(pname, value);  // copy
-    bytes += value.bytes();
-  }
-  return bytes;
-}
-
-std::uint64_t ParameterStore::push_gradients(Network& net, double lr) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t bytes = 0;
-  for (const auto& [pname, gname] : net.gradients()) {
-    const Tensor& g = net.fetch_tensor(gname);
-    auto it = params_.find(pname);
-    D500_CHECK_MSG(it != params_.end(), "ParameterStore: unknown param");
-    axpy(static_cast<float>(-lr), g, it->second);
-    bytes += g.bytes();
-  }
-  return bytes;
-}
-
-void ParameterStore::advance(int rank) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++steps_[static_cast<std::size_t>(rank)];
-  }
-  cv_.notify_all();
-}
-
-void ParameterStore::wait_for_staleness(int rank, std::int64_t bound) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] {
-    const std::int64_t mine = steps_[static_cast<std::size_t>(rank)];
-    std::int64_t slowest = mine;
-    for (auto s : steps_) slowest = std::min(slowest, s);
-    return mine - slowest <= bound;
-  });
-}
-
-InconsistentCentralized::InconsistentCentralized(
-    std::unique_ptr<ThreeStepOptimizer> base, Communicator& comm,
-    ParameterStore& store, double lr)
-    : DistributedOptimizer(std::move(base), comm), store_(store), lr_(lr) {
-  store_.register_worker(comm.rank(), comm.size());
-}
-
-TensorMap InconsistentCentralized::train(const TensorMap& feeds) {
-  // Pull the (possibly mid-update) global parameters, compute, push.
-  app_bytes_ += store_.pull_into(network());
-  ++comm_calls_;
-  base_->new_input();
-  for (const auto& pname : network().parameters()) base_->prepare_param(pname);
-  TensorMap out = executor().inference_and_backprop(feeds, loss_value());
-  app_bytes_ += store_.push_gradients(network(), lr_);
-  ++comm_calls_;
-  store_.advance(comm_.rank());
-  return out;
-}
-
-StaleSynchronous::StaleSynchronous(std::unique_ptr<ThreeStepOptimizer> base,
-                                   Communicator& comm, ParameterStore& store,
-                                   double lr, std::int64_t bound)
-    : DistributedOptimizer(std::move(base), comm), store_(store), lr_(lr),
-      bound_(bound) {
-  store_.register_worker(comm.rank(), comm.size());
-}
-
-TensorMap StaleSynchronous::train(const TensorMap& feeds) {
-  store_.wait_for_staleness(comm_.rank(), bound_);
-  app_bytes_ += store_.pull_into(network());
-  ++comm_calls_;
-  base_->new_input();
-  for (const auto& pname : network().parameters()) base_->prepare_param(pname);
-  TensorMap out = executor().inference_and_backprop(feeds, loss_value());
-  app_bytes_ += store_.push_gradients(network(), lr_);
-  ++comm_calls_;
-  store_.advance(comm_.rank());
-  return out;
-}
-
 // ---- EagerDecentralized (eager DSGD over a stale-substituting board) -------
 
 EagerDecentralized::EagerDecentralized(std::unique_ptr<ThreeStepOptimizer> base,
@@ -431,7 +334,7 @@ TensorMap EagerDecentralized::train(const TensorMap& feeds) {
   });
 }
 
-// ---- Bounded-staleness parameter server over send/recv ---------------------
+// ---- Parameter server (sync / SSP / ASGD by staleness bound) --------------
 
 PsStats run_parameter_server(Communicator& comm, ThreeStepOptimizer& update,
                              std::int64_t bound) {
@@ -480,6 +383,13 @@ PsStats run_parameter_server(Communicator& comm, ThreeStepOptimizer& update,
     }
   };
 
+  // Every control message is validated before it is acted on: a known
+  // opcode, a step field that is an exact integer in [0, kPsMaxStep) equal
+  // to the pushes the worker has sent so far, and the opcode's size.
+  const std::size_t param_elems = pack_parameters(net).size();
+  std::vector<std::int64_t> pushed(static_cast<std::size_t>(n), 0);
+  std::vector<bool> finished(static_cast<std::size_t>(n), false);
+
   // Bound 0 buffers each step's pushes and applies them in rank order once
   // every worker has pushed — the deterministic schedule the matrix test
   // pins down. Bound >= 1 applies in arrival order.
@@ -487,15 +397,33 @@ PsStats run_parameter_server(Communicator& comm, ThreeStepOptimizer& update,
   int done = 0;
   while (done < workers) {
     auto [src, msg] = comm.recv_any(kPsCtrlTag);
-    D500_CHECK_MSG(msg.size() >= 2, "parameter server: malformed control");
+    const auto w = static_cast<std::size_t>(src);
+    D500_CHECK_MSG(msg.size() >= 2, "parameter server: rank "
+                                        << src << " sent " << msg.size()
+                                        << " floats, no [opcode, step]");
     const float op = msg[0];
-    const auto step = static_cast<std::int64_t>(msg[1]);
+    D500_CHECK_MSG(op == kPsOpPull || op == kPsOpPush || op == kPsOpDone,
+                   "parameter server: rank " << src << " sent opcode " << op);
+    const float f = msg[1];
+    D500_CHECK_MSG(std::isfinite(f) && f >= 0.0f && std::trunc(f) == f &&
+                       f < static_cast<float>(kPsMaxStep),
+                   "parameter server: rank " << src << " sent step " << f);
+    const auto step = static_cast<std::int64_t>(f);
+    const std::size_t want = op == kPsOpPush ? 2 + param_elems : 2;
+    D500_CHECK_MSG(!finished[w] && step == pushed[w] && msg.size() == want,
+                   "parameter server: rank "
+                       << src << " sent " << msg.size() << " floats for step "
+                       << step << (finished[w] ? " after DONE" : "")
+                       << " (expected " << want << " for step " << pushed[w]
+                       << ")");
     if (op == kPsOpDone) {
+      finished[w] = true;
       ++done;
     } else if (op == kPsOpPull) {
-      pending_pull[static_cast<std::size_t>(src)] = step;
+      pending_pull[w] = step;
       service_pulls();
     } else {
+      ++pushed[w];
       std::span<const float> grads(msg.data() + 2, msg.size() - 2);
       if (bound == 0) {
         step_pushes[step][src].assign(grads.begin(), grads.end());
@@ -523,6 +451,9 @@ BoundedStalenessWorker::BoundedStalenessWorker(
 }
 
 TensorMap BoundedStalenessWorker::train(const TensorMap& feeds) {
+  D500_CHECK_MSG(step_ < kPsMaxStep, name() << ": step " << step_
+                                            << " does not fit the protocol's "
+                                               "float step field");
   // Pull the parameters for this step (the server defers the reply until
   // the staleness window admits us).
   std::vector<float> ctrl = {kPsOpPull, static_cast<float>(step_)};

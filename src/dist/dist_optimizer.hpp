@@ -4,19 +4,18 @@
 // a SimMPI communicator, exactly as the paper's MPI-based reference
 // optimizers wrap update rules (Listing 9 is ConsistentDecentralized).
 // Variants (paper Fig. 5 + §V-E):
-//   ConsistentDecentralized  — DSGD: gradient allreduce, synchronous.
-//                              Options select ring vs. recursive-doubling,
-//                              per-tensor vs. fused-buffer (HorovodLike),
-//                              and a staging-copy mode that mimics the
-//                              Python reference path's NumPy conversions
-//                              (REF-dsgd) vs. the direct-pointer custom
-//                              C++ operator (CDSGD).
+//   ConsistentDecentralized  — DSGD: ring gradient allreduce, synchronous.
+//                              Options select per-tensor vs. fused-buffer
+//                              (HorovodLike) and a staging-copy mode that
+//                              mimics the Python reference path's NumPy
+//                              conversions (REF-dsgd) vs. the direct-
+//                              pointer custom C++ operator (CDSGD).
 //   ConsistentCentralized    — PSSGD: gradients reduced to a parameter
 //                              server, parameters broadcast back.
 //   ShardedParameterServer   — TF-PS-like: parameters sharded over ranks.
-//   InconsistentCentralized  — ASGD: HOGWILD-style asynchronous pushes and
-//                              pulls against a shared parameter store.
-//   StaleSynchronous         — ASGD with a bounded staleness window.
+//   run_parameter_server +   — ASGD and SSP: a server rank and pull/push
+//   BoundedStalenessWorker     workers; the staleness bound picks the
+//                              variant (k = SSP, kUnboundedStaleness = ASGD).
 //   ModelAveraging           — MAVG: local steps + parameter allreduce.
 //   NeighborDecentralized    — DPSGD: parameter averaging with ring
 //                              neighbors only.
@@ -27,7 +26,7 @@
 // algorithms.
 #pragma once
 
-#include <atomic>
+#include <limits>
 #include <memory>
 
 #include "dist/eager.hpp"
@@ -63,10 +62,7 @@ class DistributedOptimizer : public Optimizer {
   std::uint64_t comm_calls_ = 0;
 };
 
-enum class AllreduceAlgo { kRing, kRecursiveDoubling };
-
 struct DsgdOptions {
-  AllreduceAlgo algo = AllreduceAlgo::kRing;
   bool fuse_buffers = false;    // Horovod-style tensor fusion
   bool staging_copies = false;  // Python-reference NumPy-conversion path
 };
@@ -171,59 +167,6 @@ class ShardedParameterServer : public DistributedOptimizer {
   TensorMap train(const TensorMap& feeds) override;
 };
 
-/// Shared in-memory parameter store for the asynchronous variants (plays
-/// the parameter-server process; access is serialized, which is exactly
-/// the queueing behaviour the paper observes hurting ASGD at scale).
-class ParameterStore {
- public:
-  explicit ParameterStore(const Network& net);
-
-  /// Copies current parameters into the network (a "pull").
-  std::uint64_t pull_into(Network& net);
-  /// Applies gradients with the given scale via SGD (a "push").
-  std::uint64_t push_gradients(Network& net, double lr);
-
-  /// Bounded-staleness support.
-  void register_worker(int rank, int world);
-  void advance(int rank);
-  void wait_for_staleness(int rank, std::int64_t bound);
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::map<std::string, Tensor> params_;
-  std::vector<std::int64_t> steps_;
-};
-
-/// ASGD (HOGWILD-style): pull, compute, push — no synchronization.
-class InconsistentCentralized : public DistributedOptimizer {
- public:
-  InconsistentCentralized(std::unique_ptr<ThreeStepOptimizer> base,
-                          Communicator& comm, ParameterStore& store,
-                          double lr);
-  std::string name() const override { return "ASGD"; }
-  TensorMap train(const TensorMap& feeds) override;
-
- private:
-  ParameterStore& store_;
-  double lr_;
-};
-
-/// Stale-synchronous: ASGD with max staleness `bound`.
-class StaleSynchronous : public DistributedOptimizer {
- public:
-  StaleSynchronous(std::unique_ptr<ThreeStepOptimizer> base,
-                   Communicator& comm, ParameterStore& store, double lr,
-                   std::int64_t bound);
-  std::string name() const override { return "SSP"; }
-  TensorMap train(const TensorMap& feeds) override;
-
- private:
-  ParameterStore& store_;
-  double lr_;
-  std::int64_t bound_;
-};
-
 /// Eager DSGD: gradient averaging through an EagerAllreduce board, so a
 /// scheduled straggler's contribution is substituted with its most recent
 /// on-time gradient instead of being waited for (staleness bounded by the
@@ -242,14 +185,18 @@ class EagerDecentralized : public DistributedOptimizer {
   std::vector<float> fusion_buffer_;
 };
 
-/// Wire protocol of the bounded-staleness parameter server: one control
-/// tag carries [opcode, step, payload...] worker->server; parameter
-/// replies come back on the data tag.
+/// Wire protocol of the parameter server: one control tag carries
+/// [opcode, step, payload...] worker->server; parameter replies come back
+/// on the data tag. The float step field is exact below kPsMaxStep = 2^24.
 inline constexpr int kPsCtrlTag = 700;
 inline constexpr int kPsDataTag = 701;
 inline constexpr float kPsOpPull = 0.0f;
 inline constexpr float kPsOpPush = 1.0f;
 inline constexpr float kPsOpDone = 2.0f;
+inline constexpr std::int64_t kPsMaxStep = std::int64_t{1} << 24;
+/// The staleness bound at which the server never defers a pull: ASGD.
+inline constexpr std::int64_t kUnboundedStaleness =
+    std::numeric_limits<std::int64_t>::max();
 
 /// Counters of one parameter-server service run.
 struct PsStats {
@@ -261,12 +208,14 @@ struct PsStats {
 
 /// Runs the dedicated parameter-server service loop on the calling rank
 /// (must be rank 0; the server is not a worker). Serves pulls and applies
-/// pushes from ranks 1..n-1 until every worker sends DONE; a pull for
-/// worker step t is deferred until t minus the slowest worker's applied
-/// pushes is within `bound`. With bound 0 the server buffers each step's
-/// pushes and applies them in rank order once all arrive — bit-
-/// deterministic; with bound >= 1 pushes apply in arrival order, which is
-/// deliberately not reproducible (the determinism matrix pins that down).
+/// pushes from ranks 1..n-1, through `update`'s update rule, until every
+/// worker sends DONE; a pull for worker step t is deferred until t minus
+/// the slowest worker's applied pushes is within `bound`. Bound 0 buffers
+/// each step's pushes and applies them in rank order once all arrive —
+/// bit-deterministic; bound k >= 1 (SSP) and kUnboundedStaleness (ASGD)
+/// apply in arrival order, which is deliberately not reproducible (the
+/// determinism matrix pins that down). A malformed or out-of-sequence
+/// control message throws Error; a dead peer surfaces as RankFailure.
 /// Final parameters live in `update.network()` when the loop returns.
 PsStats run_parameter_server(Communicator& comm, ThreeStepOptimizer& update,
                              std::int64_t bound);
@@ -281,7 +230,6 @@ class BoundedStalenessWorker : public DistributedOptimizer {
   std::string name() const override { return "PS-bounded"; }
   TensorMap train(const TensorMap& feeds) override;
   void finish();
-  std::int64_t steps_done() const { return step_; }
 
  private:
   std::int64_t step_ = 0;

@@ -29,7 +29,7 @@
 namespace d500 {
 
 /// One shared board per SimMpi world (construct outside run(), pass by
-/// reference to every rank, like ParameterStore).
+/// reference to every rank).
 class EagerAllreduce {
  public:
   EagerAllreduce(int world, std::int64_t staleness_bound);

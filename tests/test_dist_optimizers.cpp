@@ -250,7 +250,6 @@ TEST(DSGD, StagingCopiesPathIsEquivalent) {
   const auto seq = sequential_params(batch, 2);
   DsgdOptions opts;
   opts.staging_copies = true;
-  opts.algo = AllreduceAlgo::kRecursiveDoubling;
   const auto dist = distributed_params(
       2, batch, 2, [&](auto base, Communicator& c) {
         return std::make_unique<ConsistentDecentralized>(std::move(base), c,
@@ -372,57 +371,85 @@ TEST(MAVG, RanksAgreeAfterEveryStep) {
     expect_close(params[static_cast<std::size_t>(r)], params[0], 1e-5f);
 }
 
-TEST(ASGD, MakesProgressWithoutBarriers) {
-  const std::int64_t batch = 8;
-  const int world = 4;
+/// Parameter server at `bound` on rank 0 with world-1 workers, each
+/// training on its slice of a batch split over the workers (the server is
+/// not a worker, so `batch` must divide by world-1).
+struct PsRun {
+  std::vector<float> initial;
+  std::vector<float> final_params;  // the server's, after every DONE
+  PsStats stats;
+};
+
+PsRun ps_params(int world, std::int64_t batch, int steps, std::int64_t bound,
+                std::uint64_t seed) {
+  const int workers = world - 1;
+  const std::int64_t per = batch / workers;
+  EXPECT_EQ(per * workers, batch) << "batch must split over the workers";
+  PsRun run;
+  {
+    Network init = build_network(model_for(per));
+    run.initial = pack_parameters(init);
+  }
   SimMpi mpi(world);
-  // Shared store initialized from the common model.
-  Network init_net = build_network(model_for(batch / world));
-  ParameterStore store(init_net);
-  std::atomic<int> done{0};
-  std::vector<float> initial = pack_parameters(init_net);
+  std::mutex mu;
   mpi.run([&](Communicator& comm) {
-    const std::int64_t per = batch / world;
     ReferenceExecutor exec(build_network(model_for(per)));
-    auto base = std::make_unique<GradientDescentOptimizer>(exec, kLr);
-    InconsistentCentralized dist(std::move(base), comm, store, kLr);
-    dist.set_loss_value("loss");
-    for (int s = 0; s < 4; ++s) {
-      const auto out =
-          dist.train(rank_slice(global_feeds(batch, 444 + s), comm.rank(), world));
-      ASSERT_TRUE(std::isfinite(out.at("loss").at(0)));
+    if (comm.rank() == 0) {
+      GradientDescentOptimizer update(exec, kLr);
+      const PsStats stats = run_parameter_server(comm, update, bound);
+      std::lock_guard<std::mutex> lock(mu);
+      run.stats = stats;
+      run.final_params = pack_parameters(exec.network());
+      return;
     }
-    ++done;
+    auto base = std::make_unique<GradientDescentOptimizer>(exec, kLr);
+    BoundedStalenessWorker dist(std::move(base), comm);
+    dist.set_loss_value("loss");
+    for (int s = 0; s < steps; ++s) {
+      const TensorMap global = global_feeds(batch, seed + s);
+      const auto out = dist.train(rank_slice(global, comm.rank() - 1, workers));
+      // EXPECT, not ASSERT: a worker that skipped finish() would leave the
+      // server waiting for its DONE.
+      EXPECT_TRUE(std::isfinite(out.at("loss").at(0)));
+    }
+    dist.finish();
   });
-  EXPECT_EQ(done.load(), world);
-  // Global parameters moved away from the initial point.
-  Network probe = build_network(model_for(batch / world));
-  store.pull_into(probe);
-  const auto now = pack_parameters(probe);
+  return run;
+}
+
+TEST(ASGD, MakesProgressWithoutBarriers) {
+  // ASGD is the parameter server with no staleness bound: no pull is ever
+  // deferred, and every push still lands.
+  const int world = 4, steps = 4;
+  const PsRun run = ps_params(world, /*batch=*/12, steps, kUnboundedStaleness,
+                              /*seed=*/444);
+  ASSERT_EQ(run.stats.applied.size(), static_cast<std::size_t>(world));
+  EXPECT_EQ(run.stats.applied[0], 0);  // the server is not a worker
+  std::int64_t applied = 0;
+  for (const std::int64_t a : run.stats.applied) applied += a;
+  EXPECT_EQ(applied, (world - 1) * steps);
+  // The server's parameters moved away from the initial point.
+  ASSERT_EQ(run.final_params.size(), run.initial.size());
   double dist2 = 0;
-  for (std::size_t i = 0; i < now.size(); ++i) {
-    const double d = now[i] - initial[i];
+  for (std::size_t i = 0; i < run.initial.size(); ++i) {
+    const double d = run.final_params[i] - run.initial[i];
     dist2 += d * d;
   }
   EXPECT_GT(std::sqrt(dist2), 1e-4);
 }
 
 TEST(SSP, StalenessBoundHolds) {
-  const int world = 3;
-  SimMpi mpi(world);
-  Network init_net = build_network(model_for(2));
-  ParameterStore store(init_net);
-  mpi.run([&](Communicator& comm) {
-    ReferenceExecutor exec(build_network(model_for(2)));
-    auto base = std::make_unique<GradientDescentOptimizer>(exec, kLr);
-    StaleSynchronous dist(std::move(base), comm, store, kLr, /*bound=*/1);
-    dist.set_loss_value("loss");
-    // Uneven work per rank: rank 0 does extra local spinning but the bound
-    // keeps all ranks within 1 step of each other at each train() entry.
-    for (int s = 0; s < 6; ++s)
-      dist.train(rank_slice(global_feeds(6, 555 + s), comm.rank(), world));
-  });
-  SUCCEED();  // completion without deadlock is the property under test
+  // SSP is the same server at bound k: no pull is served more than k
+  // steps ahead of the slowest worker's applied pushes.
+  const int world = 3, steps = 6;
+  const std::int64_t bound = 1;
+  const PsRun run = ps_params(world, /*batch=*/4, steps, bound,
+                              /*seed=*/555);
+  EXPECT_LE(run.stats.max_staleness_served, bound);
+  for (int r = 1; r < world; ++r)
+    EXPECT_EQ(run.stats.applied[static_cast<std::size_t>(r)], steps)
+        << "rank " << r;
+  for (const float v : run.final_params) ASSERT_TRUE(std::isfinite(v));
 }
 
 TEST(PackUnpack, RoundTrip) {

@@ -19,6 +19,8 @@
 //   PS, bound >= 1        | —                     | no — arrival-order apply;
 //                         |                       | only finiteness/bound
 //                         |                       | invariants hold
+//   PS, bound 0 / 1 / inf | scheduled abort       | n/a — run() rethrows
+//                         |                       | RankFailure, never hangs
 //
 // Plus the two recovery contracts: the synchronous path is bit-identical
 // with the injector compiled in but disabled (and with an enabled-but-
@@ -27,9 +29,14 @@
 // uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -222,10 +229,10 @@ RunResult eager_run(int world, int steps, const FaultPlan& plan,
 
 /// Bounded-staleness parameter server: rank 0 serves, ranks 1..n-1 work.
 /// The checksum is of the server's (authoritative) parameters.
-RunResult ps_run(int world, int steps, std::int64_t bound,
+RunResult ps_run(SimMpi& mpi, int steps, std::int64_t bound,
                  PsStats* out_stats = nullptr) {
   const std::int64_t batch = 8;
-  SimMpi mpi(world);
+  const int world = mpi.size();
   RunResult result;
   std::mutex mu;
   mpi.run([&](Communicator& comm) {
@@ -253,6 +260,12 @@ RunResult ps_run(int world, int steps, std::int64_t bound,
   });
   result.wire_bytes = mpi.total_bytes_sent();
   return result;
+}
+
+RunResult ps_run(int world, int steps, std::int64_t bound,
+                 PsStats* out_stats = nullptr) {
+  SimMpi mpi(world);
+  return ps_run(mpi, steps, bound, out_stats);
 }
 
 // ---- injector unit properties ----------------------------------------------
@@ -452,6 +465,105 @@ TEST(Matrix, PsBoundedStalenessHoldsInvariantsOnly) {
     EXPECT_LE(stats.max_staleness_served, bound) << "bound " << bound;
     for (int r = 1; r < world; ++r)
       EXPECT_EQ(stats.applied[static_cast<std::size_t>(r)], steps);
+  }
+}
+
+/// Runs `body` on its own thread under a no-progress watchdog (the one of
+/// ThreadPool.NotifyIsNeverLostByAHelpWhileWaiter) and rethrows what it
+/// threw. `progress` is sampled every 10 ms; if it stays unchanged for 5 s
+/// while `body` has not returned, the world is hung. A rank blocked
+/// forever cannot be rescued from outside its world, so the watchdog
+/// records the failure and ends the process — a hang fails the test
+/// instead of stalling ctest.
+template <typename Body, typename Progress>
+void run_with_watchdog(const Body& body, const Progress& progress) {
+  std::atomic<bool> finished{false};
+  std::exception_ptr error;
+  std::thread runner([&] {
+    try {
+      body();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    finished.store(true, std::memory_order_release);
+  });
+  auto last = progress();
+  auto last_change = std::chrono::steady_clock::now();
+  while (!finished.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const auto now = progress();
+    const auto t = std::chrono::steady_clock::now();
+    if (now != last) {
+      last = now;
+      last_change = t;
+    } else if (t - last_change > std::chrono::seconds(5)) {
+      ADD_FAILURE() << "no progress for 5 s: the world is hung";
+      std::fflush(stdout);
+      std::_Exit(EXIT_FAILURE);
+    }
+  }
+  runner.join();
+  if (error) std::rethrow_exception(error);
+}
+
+TEST(Matrix, PsRankFailureSurfacesAtEveryBound) {
+  // A worker dies mid-run at send #4 — its pull for step 2 — and the
+  // server plus the surviving worker must wake through revocation: run()
+  // rethrows RankFailure at the synchronous, SSP and ASGD bounds alike.
+  const int world = 3, steps = 5;
+  FaultPlan plan;
+  plan.enabled = true;
+  plan.seed = 1;
+  plan.abort_sends.emplace_back(/*rank=*/2, /*send=*/4);
+  for (const std::int64_t bound :
+       {std::int64_t{0}, std::int64_t{1}, kUnboundedStaleness}) {
+    SimMpi mpi(world);
+    mpi.set_fault_plan(plan);
+    EXPECT_THROW(run_with_watchdog([&] { ps_run(mpi, steps, bound); },
+                                   [&] { return mpi.total_bytes_sent(); }),
+                 RankFailure)
+        << "bound " << bound;
+  }
+}
+
+TEST(PsProtocol, MalformedControlMessagesRejected) {
+  // A hand-written worker sends one bad control message; the server must
+  // reject it with a d500 Error (not a revocation, not UB on the cast).
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<std::vector<float>> bad = {
+      {5.0f, 0.0f},                  // unknown opcode
+      {kPsOpPull, nan},              // NaN step
+      {kPsOpPull, -1.0f},            // negative step
+      {kPsOpPull, 0.5f},             // fractional step
+      {kPsOpPull, 16777216.0f},      // 2^24: past the exact float range
+      {kPsOpPull, std::numeric_limits<float>::infinity()},
+      {kPsOpPull, 3.0f},             // out of sequence (nothing pushed yet)
+      {kPsOpPush, 0.0f},             // push without its gradient payload
+      {kPsOpDone, 0.0f, 1.0f},       // DONE with a trailing payload
+      {kPsOpPull},                   // no step field
+      {},                            // empty
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    SimMpi mpi(2);
+    std::string what;
+    try {
+      mpi.run([&](Communicator& comm) {
+        if (comm.rank() == 1) {
+          comm.send(0, bad[i], kPsCtrlTag);
+          return;
+        }
+        ReferenceExecutor exec(build_network(model_for(4)));
+        GradientDescentOptimizer update(exec, kLr);
+        run_parameter_server(comm, update, /*bound=*/1);
+      });
+    } catch (const RankFailure& e) {
+      ADD_FAILURE() << "message " << i << ": revocation, not the root cause: "
+                    << e.what();
+    } catch (const Error& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find("parameter server"), std::string::npos)
+        << "message " << i << " was accepted";
   }
 }
 
