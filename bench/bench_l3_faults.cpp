@@ -95,12 +95,11 @@ EagerRow run_eager(const Model& model, std::int64_t bound, double late_prob,
   plan.seed = bench_seed() + 17;
   plan.late_prob = late_prob;
   mpi.set_fault_plan(plan);
-  EagerAllreduce board(kWorld, bound);
   std::mutex mu;
   mpi.run([&](Communicator& comm) {
     ReferenceExecutor exec(build_network(model));
     auto base = std::make_unique<GradientDescentOptimizer>(exec, 0.05);
-    EagerDecentralized opt(std::move(base), comm, board);
+    EagerDecentralized opt(std::move(base), comm, bound);
     opt.set_loss_value("loss");
     float loss = 0;
     bool finite = true;
@@ -115,10 +114,12 @@ EagerRow run_eager(const Model& model, std::int64_t bound, double late_prob,
       const std::vector<float> params = pack_parameters(exec.network());
       row.checksum = fnv1a(1469598103934665603ull, params.data(),
                            params.size() * sizeof(float));
+      // Every rank resolves the same read set: rank 0's counts are the
+      // world's.
+      row.stale_events = opt.stale_events();
+      row.max_staleness = opt.max_staleness_seen();
     }
   });
-  row.stale_events = board.stale_events();
-  row.max_staleness = board.max_staleness_seen();
   return row;
 }
 

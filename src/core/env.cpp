@@ -194,15 +194,6 @@ double fault_late_setting() {
   return 0.0;
 }
 
-std::int64_t staleness_setting() {
-  if (const char* v = std::getenv("D500_STALENESS")) {
-    const auto n = std::strtoll(v, nullptr, 10);
-    D500_CHECK_MSG(n >= 0, "D500_STALENESS must be >= 0");
-    return n;
-  }
-  return 1;
-}
-
 std::size_t trace_buffer_records() {
   if (const char* v = std::getenv("D500_TRACE_BUFSZ")) {
     const auto n = std::strtoull(v, nullptr, 10);

@@ -159,13 +159,8 @@ std::int64_t fault_slow_us_setting();
 
 /// Per-(rank, round) probability that a rank's contribution to an eager
 /// collective is late (D500_FAULT_LATE, default 0) — peers proceed with
-/// its previous-round value, bounded by D500_STALENESS.
+/// its most recent on-time value, at most as many rounds old as the
+/// staleness bound the EagerDecentralized optimizer was constructed with.
 double fault_late_setting();
-
-/// Staleness bound for the partially-asynchronous paths (D500_STALENESS,
-/// default 1): the most consecutive rounds an eager collective may
-/// substitute a rank's stale contribution, and the parameter-server
-/// optimizer's clock-gap bound. 0 degenerates to fully synchronous.
-std::int64_t staleness_setting();
 
 }  // namespace d500

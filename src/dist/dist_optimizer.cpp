@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "core/env.hpp"
+#include "core/metrics_registry.hpp"
 #include "core/trace.hpp"
 #include "frameworks/plan_executor.hpp"
 
@@ -310,18 +311,72 @@ TensorMap ShardedParameterServer::train(const TensorMap& feeds) {
   });
 }
 
-// ---- EagerDecentralized (eager DSGD over a stale-substituting board) -------
+// ---- EagerDecentralized (eager DSGD: allgather + stale substitution) -----
+
+namespace {
+Counter& stale_counter() {
+  static Counter& c = MetricsRegistry::instance().counter("eager.stale_uses");
+  return c;
+}
+}  // namespace
 
 EagerDecentralized::EagerDecentralized(std::unique_ptr<ThreeStepOptimizer> base,
-                                       Communicator& comm,
-                                       EagerAllreduce& board)
-    : DistributedOptimizer(std::move(base), comm), board_(board) {}
+                                       Communicator& comm, std::int64_t bound)
+    : DistributedOptimizer(std::move(base), comm), bound_(bound) {
+  D500_CHECK_MSG(bound >= 0, "EagerDecentralized: bound must be >= 0");
+}
 
 TensorMap EagerDecentralized::train(const TensorMap& feeds) {
   return step_with_gradients(feeds, [&] {
-    const float inv_n = 1.0f / static_cast<float>(comm_.size());
+    const int n = comm_.size();
+    const float inv_n = 1.0f / static_cast<float>(n);
+    const std::int64_t k = rounds_++;
     fusion_buffer_ = pack_gradients(network());
-    board_.allreduce(comm_, fusion_buffer_);
+    if (n > 1) {
+      D500_TRACE_SCOPE("dist", "eager_allreduce");
+      const std::size_t len = fusion_buffer_.size();
+      const std::size_t gathered_len = len * static_cast<std::size_t>(n);
+      // Once bound+1 rounds are held, recycle the oldest: round k-bound-1
+      // is past every read set.
+      std::vector<float> gathered;
+      if (history_.size() > static_cast<std::uint64_t>(bound_)) {
+        gathered = std::move(history_.front());
+        history_.pop_front();
+      }
+      gathered.resize(gathered_len);
+      comm_.allgather(fusion_buffer_, gathered);
+      history_.push_back(std::move(gathered));
+      // Sum in rank index order; a rank with age s contributes its round
+      // k-s deposit (s <= min(bound, k), so the history still holds it).
+      FaultInjector& inj = comm_.fault_injector();
+      for (int p = 0; p < n; ++p) {
+        const std::int64_t s = inj.staleness(p, k, bound_);
+        if (s > 0) {
+          ++stale_events_;
+          // Each rank counts only its own stale contributions, so the
+          // process-wide counters see every event once, not n times.
+          if (p == comm_.rank()) {
+            ++own_stale_events_;
+            stale_counter().add(1);
+            trace_counter("dist", "stale_uses",
+                          static_cast<double>(own_stale_events_));
+          }
+        }
+        max_staleness_ = std::max(max_staleness_, s);
+        const std::vector<float>& deposits =
+            history_[history_.size() - 1 - static_cast<std::size_t>(s)];
+        D500_CHECK_MSG(deposits.size() == gathered_len,
+                       "EagerDecentralized: buffer size changed across rounds "
+                       "(round " << k - s << " gathered " << deposits.size()
+                       << " elements, want " << gathered_len << ")");
+        const float* contrib =
+            deposits.data() + static_cast<std::size_t>(p) * len;
+        if (p == 0)
+          std::copy(contrib, contrib + len, fusion_buffer_.begin());
+        else
+          for (std::size_t i = 0; i < len; ++i) fusion_buffer_[i] += contrib[i];
+      }
+    }
     count(fusion_buffer_.size() * sizeof(float));
     for (auto& v : fusion_buffer_) v *= inv_n;
     unpack_gradients(network(), fusion_buffer_);

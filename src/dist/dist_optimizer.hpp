@@ -26,10 +26,10 @@
 // algorithms.
 #pragma once
 
+#include <deque>
 #include <limits>
 #include <memory>
 
-#include "dist/eager.hpp"
 #include "dist/simmpi.hpp"
 #include "train/optimizer.hpp"
 
@@ -167,21 +167,44 @@ class ShardedParameterServer : public DistributedOptimizer {
   TensorMap train(const TensorMap& feeds) override;
 };
 
-/// Eager DSGD: gradient averaging through an EagerAllreduce board, so a
-/// scheduled straggler's contribution is substituted with its most recent
-/// on-time gradient instead of being waited for (staleness bounded by the
-/// board; see dist/eager.hpp). All ranks consume the identical substituted
-/// sum, so parameters stay replicated and the run is bit-reproducible for
-/// a given (fault seed, bound).
+/// Eager DSGD (partial allreduce): each step's packed gradient travels in
+/// an ordinary ring allgather, and a contribution the world's FaultInjector
+/// schedules late is substituted with that rank's most recent on-time one,
+/// at most `bound` rounds old (the injector clamps the lateness streak at
+/// the bound; bound 0 is fully synchronous).
+///
+/// Determinism contract: lateness is schedule-driven, never timing-driven.
+/// Every rank keeps a bound+1-deep history of the gathered deposits,
+/// resolves the read set from the injector's pure (seed, rank, round)
+/// schedule, and sums the substituted contributions in rank index order.
+/// All ranks therefore consume the identical sum, parameters stay
+/// replicated, and the run is bit-reproducible for a given (fault seed,
+/// bound) at every thread count.
 class EagerDecentralized : public DistributedOptimizer {
  public:
+  /// Throws Error when `bound` is negative.
   EagerDecentralized(std::unique_ptr<ThreeStepOptimizer> base,
-                     Communicator& comm, EagerAllreduce& board);
+                     Communicator& comm, std::int64_t bound);
   std::string name() const override { return "Eager-DSGD"; }
   TensorMap train(const TensorMap& feeds) override;
 
+  /// Completed eager rounds (one per train() call).
+  std::int64_t rounds() const { return rounds_; }
+  /// (rank, round) contributions read stale. Every rank resolves the same
+  /// read set, so this is the world total on every rank.
+  std::uint64_t stale_events() const { return stale_events_; }
+  /// Largest contribution age, in rounds, consumed so far.
+  std::int64_t max_staleness_seen() const { return max_staleness_; }
+
  private:
-  EagerAllreduce& board_;
+  const std::int64_t bound_;
+  std::int64_t rounds_ = 0;
+  std::uint64_t stale_events_ = 0;
+  std::uint64_t own_stale_events_ = 0;  // this rank's contributions only
+  std::int64_t max_staleness_ = 0;
+  // The last bound+1 rounds of gathered deposits, newest at the back; rank
+  // p's contribution sits at offset p * len.
+  std::deque<std::vector<float>> history_;
   std::vector<float> fusion_buffer_;
 };
 

@@ -9,7 +9,7 @@
 // count. The injected behaviors:
 //
 //   * rank slowdown — a scheduled straggler rank sleeps a fixed real delay
-//     before each send (and each eager-collective deposit), perturbing
+//     before each send (and each nonblocking-collective launch), perturbing
 //     timing without ever changing data;
 //   * delayed/dropped messages — each point-to-point delivery attempt may
 //     be dropped (per-attempt hash); the sender retries up to a bound,
@@ -21,7 +21,7 @@
 //   * eager lateness — per-(rank, round) schedule deciding whose
 //     contribution an eager collective substitutes with the previous
 //     round's value, with the consecutive-lateness streak clamped to the
-//     staleness bound (dist/eager.hpp).
+//     staleness bound (EagerDecentralized, dist/dist_optimizer.hpp).
 //
 // The disabled injector is the universal no-op path: every SimMpi routes
 // all sends through it unconditionally, and with `enabled == false` each
@@ -104,7 +104,7 @@ class FaultInjector {
   int on_send(int src, int dst, int tag, std::size_t bytes);
 
   /// Straggler delay hook for non-p2p paths (nonblocking-collective
-  /// launches, eager deposits). Sleeps when `rank` is the slow rank.
+  /// launches). Sleeps when `rank` is the slow rank.
   void maybe_slow(int rank);
 
   /// Eager-collective lateness: true when rank `rank`'s contribution to

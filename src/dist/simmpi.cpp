@@ -24,6 +24,11 @@ Counter& wire_bytes_counter() {
   return c;
 }
 
+Counter& revocation_counter() {
+  static Counter& c = MetricsRegistry::instance().counter("fault.revocations");
+  return c;
+}
+
 /// Chunk boundaries of the ring allreduce (n nearly-equal chunks of a
 /// `len`-element vector) — shared by the blocking algorithm and the
 /// ring-equivalent accounting/reduction of the nonblocking path.
@@ -109,7 +114,10 @@ void SimMpi::run(const std::function<void(Communicator&)>& fn) {
 }
 
 void SimMpi::revoke() {
-  revoked_.store(true, std::memory_order_release);
+  // Later failures of the same run() find the world already revoked and
+  // every waiter already woken.
+  if (revoked_.exchange(true, std::memory_order_acq_rel)) return;
+  revocation_counter().add(1);
   for (auto& box : mailboxes_) {
     std::lock_guard<std::mutex> lock(box.mu);
     box.cv.notify_all();

@@ -72,7 +72,6 @@ class SimMpi {
  private:
   friend class Communicator;
   friend class AllreduceRequest;
-  friend class EagerAllreduce;  // analytic wire charge for board rounds
 
   /// Shared state of one in-flight nonblocking allreduce: every rank's
   /// buffer span, registered on arrival. The last arrival schedules a
@@ -99,7 +98,8 @@ class SimMpi {
   /// Marks the world revoked (a rank died mid-run): every blocked take /
   /// take_any / barrier wakes and throws RankFailure, so one rank's
   /// scheduled abort cannot deadlock its peers in a blocking collective —
-  /// the ULFM MPI_Comm_revoke model. run() resets the flag on entry.
+  /// the ULFM MPI_Comm_revoke model. run() resets the flag on entry; the
+  /// first revocation of a run() bumps the `fault.revocations` counter.
   void revoke();
 
   void post(int src, int dst, int tag, std::vector<float> data);
@@ -107,9 +107,9 @@ class SimMpi {
   /// Wildcard receive: first queued message for `dst` on `tag` from any
   /// source, lowest source rank first when several wait. Blocks like take.
   std::pair<int, Message> take_any(int dst, int tag);
-  /// Wire/message accounting for paths that do not move real point-to-point
-  /// messages (nonblocking collectives, eager boards) but must charge what
-  /// the equivalent algorithm would send.
+  /// Wire/message accounting: every post() charges what it put on the wire,
+  /// and nonblocking collectives, which move no real point-to-point
+  /// messages, charge what the equivalent ring algorithm would send.
   void charge(int rank, std::uint64_t bytes, std::uint64_t msgs);
 
   /// Rank `rank` joins nonblocking collective (tag, seq); returns the
@@ -207,9 +207,12 @@ class Communicator {
   /// Nonblocking completion poll.
   bool test(const AllreduceRequest& req) const;
 
+  /// The world's fault schedule (eager collectives resolve their stale
+  /// read set from it).
+  FaultInjector& fault_injector() { return world_->fault_injector(); }
+
  private:
   friend class SimMpi;
-  friend class EagerAllreduce;
   Communicator(SimMpi* world, int rank) : world_(world), rank_(rank) {}
 
   SimMpi* world_;

@@ -32,7 +32,10 @@ std::vector<Record> make_records(int n, std::size_t bytes, std::uint64_t seed,
 class ContainerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = scratch_dir() + "/container_test";
+    // Suffix with the test name: ctest runs each case as its own process in
+    // parallel, so a shared directory would be torn down under a sibling.
+    dir_ = scratch_dir() + "/container_test_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -21,6 +21,8 @@
 //                         |                       | invariants hold
 //   PS, bound 0 / 1 / inf | scheduled abort       | n/a — run() rethrows
 //                         |                       | RankFailure, never hangs
+//   eager, bound 0 / 1 / 2| scheduled abort       | n/a — run() rethrows
+//                         |                       | RankFailure, never hangs
 //
 // Plus the two recovery contracts: the synchronous path is bit-identical
 // with the injector compiled in but disabled (and with an enabled-but-
@@ -40,6 +42,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/metrics_registry.hpp"
 #include "core/threadpool.hpp"
 #include "dist/dist_optimizer.hpp"
 #include "frameworks/plan_executor.hpp"
@@ -190,21 +193,19 @@ struct EagerStats {
   std::int64_t max_staleness = 0;
 };
 
-/// Eager DSGD over the stale-substituting board (one fused allreduce per
-/// step, so board rounds == steps).
-RunResult eager_run(int world, int steps, const FaultPlan& plan,
-                    std::int64_t bound, EagerStats* out_stats = nullptr) {
+/// Eager DSGD: one fused allgather per step, so eager rounds == steps.
+/// The stats are rank 0's; every rank resolves the same read set.
+RunResult eager_run(SimMpi& mpi, int steps, std::int64_t bound,
+                    EagerStats* out_stats = nullptr) {
   const std::int64_t batch = 8;
-  SimMpi mpi(world);
-  mpi.set_fault_plan(plan);
-  EagerAllreduce board(world, bound);
+  const int world = mpi.size();
   RunResult result;
   std::mutex mu;
   mpi.run([&](Communicator& comm) {
     const std::int64_t per = batch / world;
     ReferenceExecutor exec(build_network(model_for(per)));
     auto base = std::make_unique<GradientDescentOptimizer>(exec, kLr);
-    EagerDecentralized dist(std::move(base), comm, board);
+    EagerDecentralized dist(std::move(base), comm, bound);
     dist.set_loss_value("loss");
     std::vector<float> losses;
     for (int s = 0; s < steps; ++s) {
@@ -216,15 +217,22 @@ RunResult eager_run(int world, int steps, const FaultPlan& plan,
       std::lock_guard<std::mutex> lock(mu);
       result.checksum = param_checksum(exec.network());
       result.losses = std::move(losses);
+      if (out_stats) {
+        out_stats->rounds = dist.rounds();
+        out_stats->stale_events = dist.stale_events();
+        out_stats->max_staleness = dist.max_staleness_seen();
+      }
     }
   });
   result.wire_bytes = mpi.total_bytes_sent();
-  if (out_stats) {
-    out_stats->rounds = board.rounds();
-    out_stats->stale_events = board.stale_events();
-    out_stats->max_staleness = board.max_staleness_seen();
-  }
   return result;
+}
+
+RunResult eager_run(int world, int steps, const FaultPlan& plan,
+                    std::int64_t bound, EagerStats* out_stats = nullptr) {
+  SimMpi mpi(world);
+  mpi.set_fault_plan(plan);
+  return eager_run(mpi, steps, bound, out_stats);
 }
 
 /// Bounded-staleness parameter server: rank 0 serves, ranks 1..n-1 work.
@@ -425,8 +433,8 @@ TEST(Matrix, EagerReproduciblePerScheduleAcrossThreadsAndReruns) {
 }
 
 TEST(Matrix, EagerBoundZeroIsFullySynchronous) {
-  // With D500_STALENESS = 0 the lateness schedule cannot apply: the run is
-  // bit-identical to the same board under a disabled injector.
+  // At bound 0 the lateness schedule cannot apply: the run is bit-identical
+  // to the same optimizer under a disabled injector.
   const int world = 2, steps = 3;
   EagerStats stats;
   const RunResult scheduled =
@@ -436,6 +444,23 @@ TEST(Matrix, EagerBoundZeroIsFullySynchronous) {
   EXPECT_EQ(scheduled.losses, clean.losses);
   EXPECT_EQ(stats.stale_events, 0u);
   EXPECT_EQ(stats.max_staleness, 0);
+  // The wire carries the real ring allgather: every rank ships its packed
+  // gradient to each of its world-1 peers once per step.
+  Network net = build_network(model_for(8 / world));
+  const std::uint64_t grad_bytes = pack_parameters(net).size() * sizeof(float);
+  EXPECT_EQ(clean.wire_bytes,
+            static_cast<std::uint64_t>(world * (world - 1) * steps) * grad_bytes);
+}
+
+TEST(Matrix, EagerNegativeBoundRejected) {
+  SimMpi mpi(2);
+  EXPECT_THROW(mpi.run([&](Communicator& comm) {
+                 ReferenceExecutor exec(build_network(model_for(4)));
+                 EagerDecentralized dist(
+                     std::make_unique<GradientDescentOptimizer>(exec, kLr),
+                     comm, /*bound=*/-1);
+               }),
+               Error);
 }
 
 TEST(Matrix, PsBoundZeroReproducible) {
@@ -515,14 +540,40 @@ TEST(Matrix, PsRankFailureSurfacesAtEveryBound) {
   plan.enabled = true;
   plan.seed = 1;
   plan.abort_sends.emplace_back(/*rank=*/2, /*send=*/4);
+  Counter& revocations =
+      MetricsRegistry::instance().counter("fault.revocations");
   for (const std::int64_t bound :
        {std::int64_t{0}, std::int64_t{1}, kUnboundedStaleness}) {
     SimMpi mpi(world);
     mpi.set_fault_plan(plan);
+    const std::uint64_t revoked_before = revocations.value();
     EXPECT_THROW(run_with_watchdog([&] { ps_run(mpi, steps, bound); },
                                    [&] { return mpi.total_bytes_sent(); }),
                  RankFailure)
         << "bound " << bound;
+    EXPECT_EQ(revocations.value(), revoked_before + 1) << "bound " << bound;
+  }
+}
+
+TEST(Matrix, EagerRankFailureSurfacesAtEveryBound) {
+  // Rank 2 dies at send #5, the second send of its round-2 allgather; its
+  // peers must wake through revocation at every staleness bound, with a
+  // lateness schedule armed.
+  const int world = 3, steps = 5;
+  FaultPlan plan = lateness_plan(1, 0.5);
+  plan.abort_sends.emplace_back(/*rank=*/2, /*send=*/5);
+  Counter& revocations =
+      MetricsRegistry::instance().counter("fault.revocations");
+  for (const std::int64_t bound :
+       {std::int64_t{0}, std::int64_t{1}, std::int64_t{2}}) {
+    SimMpi mpi(world);
+    mpi.set_fault_plan(plan);
+    const std::uint64_t revoked_before = revocations.value();
+    EXPECT_THROW(run_with_watchdog([&] { eager_run(mpi, steps, bound); },
+                                   [&] { return mpi.total_bytes_sent(); }),
+                 RankFailure)
+        << "bound " << bound;
+    EXPECT_EQ(revocations.value(), revoked_before + 1) << "bound " << bound;
   }
 }
 

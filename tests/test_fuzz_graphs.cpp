@@ -420,21 +420,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzEpilogueModeDifferential,
 // ---- fault-schedule axis ----------------------------------------------------
 
 /// Eager-DSGD training of the seed's random model under a lateness
-/// schedule: 2 ranks over the stale-substituting board (dist/eager.hpp),
-/// same feeds/steps as differential_train.
+/// schedule: 2 ranks exchanging gradients by allgather with stale
+/// substitution (EagerDecentralized), same feeds/steps as
+/// differential_train.
 TrainRun eager_fuzz_train(std::uint64_t seed, const FaultPlan& plan,
                           std::int64_t bound) {
   ThreadPool::instance().reset(1);
   const Model m = random_model(seed);
   SimMpi mpi(2);
   mpi.set_fault_plan(plan);
-  EagerAllreduce board(2, bound);
   TrainRun run;
   std::mutex mu;
   mpi.run([&](Communicator& comm) {
     ReferenceExecutor exec(build_network(m));
     auto base = std::make_unique<GradientDescentOptimizer>(exec, 0.05);
-    EagerDecentralized opt(std::move(base), comm, board);
+    EagerDecentralized opt(std::move(base), comm, bound);
     opt.set_loss_value("loss");
     std::vector<float> losses;
     for (int s = 0; s < 3; ++s) {

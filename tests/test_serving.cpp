@@ -26,46 +26,7 @@
 #include "serve/pool.hpp"
 #include "serve/session.hpp"
 
-// ---------------------------------------------------------------------------
-// Counting global allocator (binary-wide, same pattern as test_memory_plan):
-// the zero-allocation test snapshots it around warm run_batch calls.
-
-namespace {
-std::atomic<std::int64_t> g_heap_allocs{0};
-
-void* counted_alloc(std::size_t n, std::size_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (align < sizeof(void*)) align = sizeof(void*);
-  void* p = nullptr;
-  if (posix_memalign(&p, align, n == 0 ? 1 : n) != 0) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t n) {
-  return counted_alloc(n, alignof(std::max_align_t));
-}
-void* operator new[](std::size_t n) {
-  return counted_alloc(n, alignof(std::max_align_t));
-}
-void* operator new(std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+#include "counting_new.hpp"
 
 namespace d500::serve {
 namespace {
