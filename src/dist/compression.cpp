@@ -93,12 +93,7 @@ TensorMap CompressedCentralized::train(const TensorMap& feeds) {
       // Apply the base update rule on the master copy via the network.
       unpack_gradients(network(), sum);
       unpack_parameters(network(), server_params_);
-      for (const auto& [pname, gname] : network().gradients()) {
-        const Tensor& g = network().fetch_tensor(gname);
-        Tensor updated =
-            base_->update_rule(g, network().fetch_tensor(pname), pname);
-        network().feed_tensor(pname, std::move(updated));
-      }
+      base_->update_parameters();
       const std::vector<float> new_params = pack_parameters(network());
 
       // Broadcast the quantized parameter delta (with server-side error

@@ -112,12 +112,7 @@ TensorMap ConsistentDecentralized::train(const TensorMap& feeds) {
       }
     }
     // Apply the base update rule on the averaged gradients.
-    for (const auto& [pname, gname] : network().gradients()) {
-      const Tensor& g = network().fetch_tensor(gname);
-      Tensor updated =
-          base_->update_rule(g, network().fetch_tensor(pname), pname);
-      network().feed_tensor(pname, std::move(updated));
-    }
+    base_->update_parameters();
   });
 }
 
@@ -142,6 +137,7 @@ std::vector<GradientBucket> build_gradient_buckets(const Network& net,
       buckets.emplace_back();
     GradientBucket& b = buckets.back();
     b.params.push_back(pname);
+    b.grads.push_back(Network::gradient_name(pname));
     b.offsets.push_back(b.elements);
     b.elements += elems;
   }
@@ -165,6 +161,8 @@ void BucketedDecentralized::ensure_buckets() {
   if (!buckets_.empty()) return;
   buckets_ = build_gradient_buckets(network(), options_.cap_bytes);
   bucket_bufs_.resize(buckets_.size());
+  bucket_pending_.resize(buckets_.size());
+  bucket_reqs_.resize(buckets_.size());
   param_site_.clear();
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     bucket_bufs_[i].assign(buckets_[i].elements, 0.0f);
@@ -181,10 +179,9 @@ TensorMap BucketedDecentralized::train(const TensorMap& feeds) {
   base_->new_input();
   for (const auto& pname : network().parameters()) base_->prepare_param(pname);
 
-  bucket_reqs_.clear();
-  bucket_reqs_.resize(buckets_.size());
+  // Per-step state lives in members sized once by ensure_buckets; wait()
+  // empties each request it drains.
   if (overlap) {
-    bucket_pending_.assign(buckets_.size(), 0);
     for (std::size_t i = 0; i < buckets_.size(); ++i)
       bucket_pending_[i] = static_cast<int>(buckets_[i].params.size());
     plan->set_grad_ready_hook([this](const std::string& pname,
@@ -228,8 +225,7 @@ TensorMap BucketedDecentralized::train(const TensorMap& feeds) {
     } else {
       const GradientBucket& b = buckets_[i];
       for (std::size_t k = 0; k < b.params.size(); ++k) {
-        const Tensor& g = network().fetch_tensor(
-            Network::gradient_name(b.params[k]));
+        const Tensor& g = network().fetch_tensor(b.grads[k]);
         std::memcpy(buf.data() + b.offsets[k], g.data(), g.bytes());
       }
       comm_.allreduce_sum_ring(buf);
@@ -238,19 +234,13 @@ TensorMap BucketedDecentralized::train(const TensorMap& feeds) {
     for (auto& v : buf) v *= inv_n;
     const GradientBucket& b = buckets_[i];
     for (std::size_t k = 0; k < b.params.size(); ++k) {
-      Tensor& g =
-          network().fetch_tensor(Network::gradient_name(b.params[k]));
+      Tensor& g = network().fetch_tensor(b.grads[k]);
       std::memcpy(g.data(), buf.data() + b.offsets[k], g.bytes());
     }
   }
   // Apply the base update rule on the averaged gradients (declaration
   // order, like every other variant).
-  for (const auto& [pname, gname] : network().gradients()) {
-    const Tensor& g = network().fetch_tensor(gname);
-    Tensor updated =
-        base_->update_rule(g, network().fetch_tensor(pname), pname);
-    network().feed_tensor(pname, std::move(updated));
-  }
+  base_->update_parameters();
   return out;
 }
 
@@ -271,13 +261,11 @@ TensorMap ConsistentCentralized::train(const TensorMap& feeds) {
       Tensor& p = network().fetch_tensor(pname);
       if (comm_.rank() == 0) {
         scale(g, inv_n);
-        Tensor updated = base_->update_rule(g, p, pname);
-        network().feed_tensor(pname, std::move(updated));
+        base_->update_rule(g, p, pname);
       }
       // ...and receive the new parameters back.
-      Tensor& updated = network().fetch_tensor(pname);
-      comm_.bcast(updated.span(), /*root=*/0);
-      count(updated.bytes());
+      comm_.bcast(p.span(), /*root=*/0);
+      count(p.bytes());
     }
   });
 }
@@ -301,12 +289,10 @@ TensorMap ShardedParameterServer::train(const TensorMap& feeds) {
       Tensor& p = network().fetch_tensor(pname);
       if (comm_.rank() == owner) {
         scale(g, inv_n);
-        Tensor updated = base_->update_rule(g, p, pname);
-        network().feed_tensor(pname, std::move(updated));
+        base_->update_rule(g, p, pname);
       }
-      Tensor& updated = network().fetch_tensor(pname);
-      comm_.bcast(updated.span(), owner);
-      count(updated.bytes());
+      comm_.bcast(p.span(), owner);
+      count(p.bytes());
     }
   });
 }
@@ -380,12 +366,7 @@ TensorMap EagerDecentralized::train(const TensorMap& feeds) {
     count(fusion_buffer_.size() * sizeof(float));
     for (auto& v : fusion_buffer_) v *= inv_n;
     unpack_gradients(network(), fusion_buffer_);
-    for (const auto& [pname, gname] : network().gradients()) {
-      const Tensor& g = network().fetch_tensor(gname);
-      Tensor updated =
-          base_->update_rule(g, network().fetch_tensor(pname), pname);
-      network().feed_tensor(pname, std::move(updated));
-    }
+    base_->update_parameters();
   });
 }
 
@@ -410,11 +391,7 @@ PsStats run_parameter_server(Communicator& comm, ThreeStepOptimizer& update,
   auto apply_push = [&](int rank, std::span<const float> grads) {
     D500_TRACE_SCOPE("dist", "ps_apply");
     unpack_gradients(net, grads);
-    for (const auto& [pname, gname] : net.gradients()) {
-      const Tensor& g = net.fetch_tensor(gname);
-      Tensor updated = update.update_rule(g, net.fetch_tensor(pname), pname);
-      net.feed_tensor(pname, std::move(updated));
-    }
+    update.update_parameters();
     ++stats.applied[static_cast<std::size_t>(rank)];
   };
   auto slowest = [&] {
@@ -552,12 +529,7 @@ ModelAveraging::ModelAveraging(std::unique_ptr<ThreeStepOptimizer> base,
 TensorMap ModelAveraging::train(const TensorMap& feeds) {
   return step_with_gradients(feeds, [&] {
     // Local update first...
-    for (const auto& [pname, gname] : network().gradients()) {
-      const Tensor& g = network().fetch_tensor(gname);
-      Tensor updated =
-          base_->update_rule(g, network().fetch_tensor(pname), pname);
-      network().feed_tensor(pname, std::move(updated));
-    }
+    base_->update_parameters();
     // ...then average the models.
     const float inv_n = 1.0f / static_cast<float>(comm_.size());
     for (const auto& pname : network().parameters()) {
@@ -578,12 +550,7 @@ NeighborDecentralized::NeighborDecentralized(
 TensorMap NeighborDecentralized::train(const TensorMap& feeds) {
   return step_with_gradients(feeds, [&] {
     // Local update.
-    for (const auto& [pname, gname] : network().gradients()) {
-      const Tensor& g = network().fetch_tensor(gname);
-      Tensor updated =
-          base_->update_rule(g, network().fetch_tensor(pname), pname);
-      network().feed_tensor(pname, std::move(updated));
-    }
+    base_->update_parameters();
     // Mix with the two ring neighbors (constant volume in world size).
     const int n = comm_.size();
     if (n == 1) return;

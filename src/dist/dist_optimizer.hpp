@@ -90,6 +90,7 @@ std::unique_ptr<ConsistentDecentralized> make_horovod_like(
 /// fills up exactly as backprop retires its members.
 struct GradientBucket {
   std::vector<std::string> params;
+  std::vector<std::string> grads;    // gradient value name of each param
   std::vector<std::size_t> offsets;  // element offset of each param
   std::size_t elements = 0;
 };

@@ -226,12 +226,7 @@ TensorMap SparCMLOptimizer::train(const TensorMap& feeds) {
     const float inv_n = 1.0f / static_cast<float>(comm_.size());
     for (auto& v : summed) v *= inv_n;
     unpack_gradients(network(), summed);
-    for (const auto& [pname, gname] : network().gradients()) {
-      const Tensor& g = network().fetch_tensor(gname);
-      Tensor updated =
-          base_->update_rule(g, network().fetch_tensor(pname), pname);
-      network().feed_tensor(pname, std::move(updated));
-    }
+    base_->update_parameters();
   });
 }
 

@@ -2,30 +2,9 @@
 
 #include <cmath>
 
-#include "core/simd.hpp"
-#include "core/threadpool.hpp"
+#include "train/update_kernels.hpp"
 
 namespace d500 {
-
-namespace {
-// Update-loop chunking: parameters are disjoint elementwise streams, so
-// chunks parallelize on the shared pool; the grain is a constant, keeping
-// the decomposition a pure function of n (bit-identical at any thread
-// count). The vector bodies below reproduce the exact multiply/add
-// sequences of the original scalar loops (no fma contraction), so scalar
-// and SIMD dispatch produce bit-identical parameter trajectories.
-constexpr std::int64_t kOptGrain = 16384;
-
-template <class F>
-void opt_map(std::int64_t n, F&& body) {
-  simd::dispatch([&](auto tag) {
-    using V = decltype(tag);
-    parallel_for(0, n, kOptGrain, [&](std::int64_t lo, std::int64_t hi) {
-      simd::lanes<V>(lo, hi, body);
-    });
-  });
-}
-}  // namespace
 
 FusedAdamOptimizer::FusedAdamOptimizer(GraphExecutor& exec,
                                        std::string framework, double lr,
@@ -36,37 +15,15 @@ FusedAdamOptimizer::FusedAdamOptimizer(GraphExecutor& exec,
 TensorMap FusedAdamOptimizer::train(const TensorMap& feeds) {
   TensorMap out = executor().inference_and_backprop(feeds, loss_value_);
   ++t_;
-  const auto b1 = static_cast<float>(beta1_);
-  const auto b2 = static_cast<float>(beta2_);
-  const float bc1 = 1.0f - std::pow(b1, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(b2, static_cast<float>(t_));
-  // One fused pass per parameter: in-place update, no temporaries — the
-  // Caffe2 "Adam operator" profile.
-  const float lr = static_cast<float>(lr_);
-  const float eps = static_cast<float>(eps_);
+  // One fused in-place pass per parameter, no temporaries: the Caffe2
+  // "Adam operator" profile. The kernel is the reference Adam's own.
   for (const auto& [pname, gname] : network().gradients()) {
     const Tensor& g = network().fetch_tensor(gname);
-    Tensor& p = network().fetch_tensor(pname);
     Tensor& m = m_.try_emplace(pname, g.shape()).first->second;
     Tensor& v = v_.try_emplace(pname, g.shape()).first->second;
-    float* mp = m.data();
-    float* vp = v.data();
-    float* pp = p.data();
-    const float* gp = g.data();
-    const std::int64_t n = g.elements();
-    opt_map(n, [&](auto tag, std::int64_t i) {
-      using W = decltype(tag);
-      const W gv = W::loadu(gp + i);
-      const W mv = W::broadcast(b1) * W::loadu(mp + i) +
-                   W::broadcast(1.0f - b1) * gv;
-      const W vv = W::broadcast(b2) * W::loadu(vp + i) +
-                   W::broadcast(1.0f - b2) * gv * gv;
-      mv.storeu(mp + i);
-      vv.storeu(vp + i);
-      const W upd = W::broadcast(lr) * (mv / W::broadcast(bc1)) /
-                    (W::sqrt(vv / W::broadcast(bc2)) + W::broadcast(eps));
-      (W::loadu(pp + i) - upd).storeu(pp + i);
-    });
+    update::adam(g, m, v, network().fetch_tensor(pname),
+                 static_cast<float>(lr_), static_cast<float>(beta1_),
+                 static_cast<float>(beta2_), static_cast<float>(eps_), t_);
   }
   return out;
 }
@@ -149,58 +106,16 @@ TensorMap FusedSgdOptimizer::train(const TensorMap& feeds) {
   for (const auto& [pname, gname] : network().gradients()) {
     const Tensor& g = network().fetch_tensor(gname);
     Tensor& p = network().fetch_tensor(pname);
-    const std::int64_t n = g.elements();
-    float* pp = p.data();
-    const float* gp = g.data();
+    auto state = [&]() -> Tensor& {
+      return state_.try_emplace(pname, g.shape()).first->second;
+    };
     switch (rule_) {
-      case Rule::kSgd:
-        opt_map(n, [&](auto tag, std::int64_t i) {
-          using W = decltype(tag);
-          (W::loadu(pp + i) - W::broadcast(lr) * W::loadu(gp + i))
-              .storeu(pp + i);
-        });
+      case Rule::kSgd: update::sgd(g, p, lr); break;
+      case Rule::kMomentum:
+        update::momentum(g, state(), p, lr, mu, /*nesterov=*/false);
         break;
-      case Rule::kMomentum: {
-        Tensor& vel = state_.try_emplace(pname, g.shape()).first->second;
-        float* vp = vel.data();
-        opt_map(n, [&](auto tag, std::int64_t i) {
-          using W = decltype(tag);
-          const W vv = W::broadcast(mu) * W::loadu(vp + i) -
-                       W::broadcast(lr) * W::loadu(gp + i);
-          vv.storeu(vp + i);
-          (W::loadu(pp + i) + vv).storeu(pp + i);
-        });
-        break;
-      }
-      case Rule::kRmsProp: {
-        Tensor& ms = state_.try_emplace(pname, g.shape()).first->second;
-        float* sp = ms.data();
-        opt_map(n, [&](auto tag, std::int64_t i) {
-          using W = decltype(tag);
-          const W gv = W::loadu(gp + i);
-          const W sv = W::broadcast(mu) * W::loadu(sp + i) +
-                       W::broadcast(1.0f - mu) * gv * gv;
-          sv.storeu(sp + i);
-          const W upd =
-              W::broadcast(lr) * gv / (W::sqrt(sv) + W::broadcast(eps));
-          (W::loadu(pp + i) - upd).storeu(pp + i);
-        });
-        break;
-      }
-      case Rule::kAdaGrad: {
-        Tensor& acc = state_.try_emplace(pname, g.shape()).first->second;
-        float* ap = acc.data();
-        opt_map(n, [&](auto tag, std::int64_t i) {
-          using W = decltype(tag);
-          const W gv = W::loadu(gp + i);
-          const W av = W::loadu(ap + i) + gv * gv;
-          av.storeu(ap + i);
-          const W upd =
-              W::broadcast(lr) * gv / (W::sqrt(av) + W::broadcast(eps));
-          (W::loadu(pp + i) - upd).storeu(pp + i);
-        });
-        break;
-      }
+      case Rule::kRmsProp: update::rmsprop(g, state(), p, lr, mu, eps); break;
+      case Rule::kAdaGrad: update::adagrad(g, state(), p, lr, eps); break;
     }
   }
   return out;

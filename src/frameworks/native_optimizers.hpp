@@ -4,7 +4,9 @@
 // TensorFlow composes it from generic tensor operators — with materially
 // different overheads. These classes reproduce that mechanically:
 //   * FusedAdamOptimizer       — single pass over each parameter, state
-//                                updated in place (CF2Sim/PTSim native).
+//                                updated in place (CF2Sim/PTSim native);
+//                                the kernel is update::adam, shared with
+//                                the reference AdamOptimizer.
 //   * ComposedAdamOptimizer    — each algebraic step is a separate
 //                                whole-array operation with temporaries
 //                                (TFSim native: Eigen-style op chains).
@@ -46,7 +48,8 @@ class ComposedAdamOptimizer : public Optimizer {
 };
 
 /// Fused in-place SGD / momentum / RMSProp / AdaGrad (native update
-/// kernels, the "written specifically for GPUs" counterparts in Fig. 9).
+/// kernels, the "written specifically for GPUs" counterparts in Fig. 9),
+/// on the shared train/update_kernels.
 class FusedSgdOptimizer : public Optimizer {
  public:
   enum class Rule { kSgd, kMomentum, kRmsProp, kAdaGrad };

@@ -590,8 +590,8 @@ void PlanExecutor::run_forward(const TensorMap& feeds) {
     refresh_folds();
 
   // Weight panels go stale whenever stored tensors may have mutated
-  // (optimizers publish through feed_tensor / mutable fetch_tensor, both
-  // of which bump the version counter).
+  // (optimizers update parameters in place through the mutable
+  // fetch_tensor, which bumps the version counter, as feed_tensor does).
   if (!prepack_.empty() && prepack_version_ != net_.params_version())
     repack_weights();
 

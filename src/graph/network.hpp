@@ -67,8 +67,8 @@ class Network {
   bool has_tensor(const std::string& name) const;
 
   /// Monotonic counter bumped whenever stored tensors may have mutated:
-  /// every feed_tensor and every MUTABLE fetch_tensor (optimizers publish
-  /// updated weights through exactly those paths; const reads don't bump).
+  /// every feed_tensor and every MUTABLE fetch_tensor (optimizers update
+  /// weights in place through the latter; const reads don't bump).
   /// The PlanExecutor pre-packed weight cache compares versions to decide
   /// when packed panels are stale.
   std::uint64_t params_version() const { return params_version_; }

@@ -54,14 +54,25 @@ class ThreeStepOptimizer : public Optimizer {
   /// interpolation); default leaves parameters untouched.
   virtual void prepare_param(const std::string& param_name) {}
 
-  /// Step 3: the update rule — returns the new parameter value.
-  virtual Tensor update_rule(const Tensor& grad, const Tensor& old_param,
-                             const std::string& param_name) = 0;
+  /// Step 3: the update rule — updates `param` in place from `grad`. The
+  /// caller obtains `param` through the network's mutable fetch_tensor,
+  /// which marks the stored parameters as changed (params_version).
+  virtual void update_rule(const Tensor& grad, Tensor& param,
+                           const std::string& param_name) = 0;
+
+  /// Step 3 for every parameter, in declaration order, from the gradients
+  /// the network holds now: what train() runs after backprop, and what
+  /// Level 3 optimizers run after communicating gradients.
+  void update_parameters();
 
   std::int64_t step() const { return step_; }
 
  protected:
   std::int64_t step_ = 0;
+
+ private:
+  // (parameter, gradient) names, kept so a step does not rebuild them.
+  std::vector<std::pair<std::string, std::string>> grads_;
 };
 
 /// Update-rule-only optimizer: ThreeStepOptimizer with steps 1-2 inert.

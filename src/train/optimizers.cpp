@@ -1,29 +1,29 @@
 #include "train/optimizers.hpp"
 
+#include <algorithm>
 #include <cmath>
 
-#include "core/threadpool.hpp"
+#include "train/update_kernels.hpp"
 
 namespace d500 {
-
-namespace {
-// Chunk size for the dense per-element optimizer updates below. Every element
-// is independent, so chunking only affects scheduling, not results.
-constexpr std::int64_t kUpdateGrain = 16384;
-}  // namespace
 
 TensorMap ThreeStepOptimizer::train(const TensorMap& feeds) {
   ++step_;
   new_input();
   for (const auto& pname : network().parameters()) prepare_param(pname);
   TensorMap out = executor().inference_and_backprop(feeds, loss_value_);
-  for (const auto& [pname, gname] : network().gradients()) {
-    const Tensor& grad = network().fetch_tensor(gname);
-    const Tensor& param = network().fetch_tensor(pname);
-    Tensor updated = update_rule(grad, param, pname);
-    network().feed_tensor(pname, std::move(updated));
-  }
+  update_parameters();
   return out;
+}
+
+void ThreeStepOptimizer::update_parameters() {
+  // The parameter list only grows (mark_parameter), so its size tells
+  // whether the cached names are current.
+  if (grads_.size() != network().parameters().size())
+    grads_ = network().gradients();
+  for (const auto& [pname, gname] : grads_)
+    update_rule(network().fetch_tensor(gname), network().fetch_tensor(pname),
+                pname);
 }
 
 double StepDecayLr::lr(std::int64_t step) const {
@@ -34,80 +34,42 @@ GradientDescentOptimizer::GradientDescentOptimizer(
     GraphExecutor& exec, double lr, std::unique_ptr<LrSchedule> schedule)
     : UpdateRuleOptimizer(exec), lr_(lr), schedule_(std::move(schedule)) {}
 
-Tensor GradientDescentOptimizer::update_rule(const Tensor& grad,
-                                             const Tensor& old_param,
-                                             const std::string&) {
+void GradientDescentOptimizer::update_rule(const Tensor& grad, Tensor& param,
+                                           const std::string&) {
   const double lr = schedule_ ? schedule_->lr(step()) : lr_;
-  Tensor out = old_param.clone();
-  axpy(static_cast<float>(-lr), grad, out);
-  return out;
+  update::sgd(grad, param, static_cast<float>(lr));
 }
 
 MomentumOptimizer::MomentumOptimizer(GraphExecutor& exec, double lr,
                                      double momentum, bool nesterov)
     : UpdateRuleOptimizer(exec), lr_(lr), mu_(momentum), nesterov_(nesterov) {}
 
-Tensor MomentumOptimizer::update_rule(const Tensor& grad,
-                                      const Tensor& old_param,
-                                      const std::string& pname) {
-  auto [it, inserted] = velocity_.try_emplace(pname, grad.shape());
-  Tensor& v = it->second;
-  // v = mu*v - lr*g
-  scale(v, static_cast<float>(mu_));
-  axpy(static_cast<float>(-lr_), grad, v);
-  Tensor out = old_param.clone();
-  if (nesterov_) {
-    // w += mu*v - lr*g
-    axpy(static_cast<float>(mu_), v, out);
-    axpy(static_cast<float>(-lr_), grad, out);
-  } else {
-    axpy(1.0f, v, out);
-  }
-  return out;
+void MomentumOptimizer::update_rule(const Tensor& grad, Tensor& param,
+                                    const std::string& pname) {
+  Tensor& v = velocity_.try_emplace(pname, grad.shape()).first->second;
+  update::momentum(grad, v, param, static_cast<float>(lr_),
+                   static_cast<float>(mu_), nesterov_);
 }
 
 AdaGradOptimizer::AdaGradOptimizer(GraphExecutor& exec, double lr, double eps)
     : UpdateRuleOptimizer(exec), lr_(lr), eps_(eps) {}
 
-Tensor AdaGradOptimizer::update_rule(const Tensor& grad,
-                                     const Tensor& old_param,
-                                     const std::string& pname) {
-  auto [it, inserted] = accum_.try_emplace(pname, grad.shape());
-  Tensor& acc = it->second;
-  Tensor out = old_param.clone();
-  const std::int64_t n = grad.elements();
-  parallel_for(0, n, kUpdateGrain, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      const float g = grad.at(i);
-      acc.at(i) += g * g;
-      out.at(i) -= static_cast<float>(lr_) * g /
-                   (std::sqrt(acc.at(i)) + static_cast<float>(eps_));
-    }
-  });
-  return out;
+void AdaGradOptimizer::update_rule(const Tensor& grad, Tensor& param,
+                                   const std::string& pname) {
+  Tensor& acc = accum_.try_emplace(pname, grad.shape()).first->second;
+  update::adagrad(grad, acc, param, static_cast<float>(lr_),
+                  static_cast<float>(eps_));
 }
 
 RMSPropOptimizer::RMSPropOptimizer(GraphExecutor& exec, double lr,
                                    double decay, double eps)
     : UpdateRuleOptimizer(exec), lr_(lr), decay_(decay), eps_(eps) {}
 
-Tensor RMSPropOptimizer::update_rule(const Tensor& grad,
-                                     const Tensor& old_param,
-                                     const std::string& pname) {
-  auto [it, inserted] = mean_sq_.try_emplace(pname, grad.shape());
-  Tensor& ms = it->second;
-  Tensor out = old_param.clone();
-  const std::int64_t n = grad.elements();
-  const auto d = static_cast<float>(decay_);
-  parallel_for(0, n, kUpdateGrain, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      const float g = grad.at(i);
-      ms.at(i) = d * ms.at(i) + (1.0f - d) * g * g;
-      out.at(i) -= static_cast<float>(lr_) * g /
-                   (std::sqrt(ms.at(i)) + static_cast<float>(eps_));
-    }
-  });
-  return out;
+void RMSPropOptimizer::update_rule(const Tensor& grad, Tensor& param,
+                                   const std::string& pname) {
+  Tensor& ms = mean_sq_.try_emplace(pname, grad.shape()).first->second;
+  update::rmsprop(grad, ms, param, static_cast<float>(lr_),
+                  static_cast<float>(decay_), static_cast<float>(eps_));
 }
 
 AdamOptimizer::AdamOptimizer(GraphExecutor& exec, double lr, double beta1,
@@ -115,33 +77,13 @@ AdamOptimizer::AdamOptimizer(GraphExecutor& exec, double lr, double beta1,
     : UpdateRuleOptimizer(exec), lr_(lr), beta1_(beta1), beta2_(beta2),
       eps_(eps) {}
 
-Tensor AdamOptimizer::update_rule(const Tensor& grad, const Tensor& old_param,
-                                  const std::string& pname) {
-  auto [mit, minserted] = m_.try_emplace(pname, grad.shape());
-  auto [vit, vinserted] = v_.try_emplace(pname, grad.shape());
-  Tensor& m = mit->second;
-  Tensor& v = vit->second;
-  const std::int64_t t = ++t_[pname];
-
-  // Direct translation of Kingma & Ba, Algorithm 1.
-  const auto b1 = static_cast<float>(beta1_);
-  const auto b2 = static_cast<float>(beta2_);
-  const float bc1 = 1.0f - std::pow(b1, static_cast<float>(t));
-  const float bc2 = 1.0f - std::pow(b2, static_cast<float>(t));
-  Tensor out = old_param.clone();
-  const std::int64_t n = grad.elements();
-  parallel_for(0, n, kUpdateGrain, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      const float g = grad.at(i);
-      m.at(i) = b1 * m.at(i) + (1.0f - b1) * g;
-      v.at(i) = b2 * v.at(i) + (1.0f - b2) * g * g;
-      const float mhat = m.at(i) / bc1;
-      const float vhat = v.at(i) / bc2;
-      out.at(i) -= static_cast<float>(lr_) * mhat /
-                   (std::sqrt(vhat) + static_cast<float>(eps_));
-    }
-  });
-  return out;
+void AdamOptimizer::update_rule(const Tensor& grad, Tensor& param,
+                                const std::string& pname) {
+  Tensor& m = m_.try_emplace(pname, grad.shape()).first->second;
+  Tensor& v = v_.try_emplace(pname, grad.shape()).first->second;
+  update::adam(grad, m, v, param, static_cast<float>(lr_),
+               static_cast<float>(beta1_), static_cast<float>(beta2_),
+               static_cast<float>(eps_), ++t_[pname]);
 }
 
 AcceleGradOptimizer::AcceleGradOptimizer(GraphExecutor& exec, double lr,
@@ -157,7 +99,7 @@ void AcceleGradOptimizer::new_input() {
 
 void AcceleGradOptimizer::prepare_param(const std::string& pname) {
   // Listing 7, prepare_param: w = tau*z + (1-tau)*y.
-  const Tensor& param = network().fetch_tensor(pname);
+  Tensor& param = network().fetch_tensor(pname);
   if (!init_) {
     y_.emplace(pname, param.clone());
     z_.emplace(pname, param.clone());
@@ -165,17 +107,14 @@ void AcceleGradOptimizer::prepare_param(const std::string& pname) {
   }
   const Tensor& y = y_.at(pname);
   const Tensor& z = z_.at(pname);
-  Tensor new_param(param.shape());
   const std::int64_t n = param.elements();
   const auto tau = static_cast<float>(tau_t_);
   for (std::int64_t i = 0; i < n; ++i)
-    new_param.at(i) = tau * z.at(i) + (1.0f - tau) * y.at(i);
-  network().feed_tensor(pname, std::move(new_param));
+    param.at(i) = tau * z.at(i) + (1.0f - tau) * y.at(i);
 }
 
-Tensor AcceleGradOptimizer::update_rule(const Tensor& grad,
-                                        const Tensor& old_param,
-                                        const std::string& pname) {
+void AcceleGradOptimizer::update_rule(const Tensor& grad, Tensor& param,
+                                      const std::string& pname) {
   // Listing 7, update_rule.
   double squared = squares_.at(pname);
   const double gnorm = l2_norm(grad);
@@ -187,15 +126,13 @@ Tensor AcceleGradOptimizer::update_rule(const Tensor& grad,
   // z_{t+1} = z_t - alpha_t * eta_t * grad
   axpy(static_cast<float>(-alpha_t_ * eta_t), grad, z);
   // y_{t+1} = w_t - eta_t * grad
-  y = old_param.clone();
+  std::copy_n(param.data(), param.elements(), y.data());
   axpy(static_cast<float>(-eta_t), grad, y);
   squares_[pname] = squared;
   init_ = true;
 
   const double adjusted_lr = lr_ / (eps_ + std::sqrt(squared));
-  Tensor out = old_param.clone();
-  axpy(static_cast<float>(-adjusted_lr), grad, out);
-  return out;
+  axpy(static_cast<float>(-adjusted_lr), grad, param);
 }
 
 }  // namespace d500

@@ -1,8 +1,9 @@
 // Reference optimizers (paper §IV-E "Provided Implementations": gradient
 // descent with LR schedule, momentum, Adam, AdaGrad — plus RMSProp,
-// Nesterov, and AcceleGrad from Listing 7). All are straightforward
-// per-parameter loops, deliberately unfused: the framework sims provide
-// the fused "native" counterparts the convergence benches compare against.
+// Nesterov, and AcceleGrad from Listing 7). Each update rule updates the
+// parameter in place; the dense rules run the shared kernels of
+// train/update_kernels, the same ones the framework-native fused
+// optimizers call, so reference and native follow one trajectory.
 #pragma once
 
 #include <memory>
@@ -16,8 +17,8 @@ class GradientDescentOptimizer : public UpdateRuleOptimizer {
   GradientDescentOptimizer(GraphExecutor& exec, double lr,
                            std::unique_ptr<LrSchedule> schedule = nullptr);
   std::string name() const override { return "GradDescent"; }
-  Tensor update_rule(const Tensor& grad, const Tensor& old_param,
-                     const std::string& param_name) override;
+  void update_rule(const Tensor& grad, Tensor& param,
+                   const std::string& param_name) override;
 
  private:
   double lr_;
@@ -29,8 +30,8 @@ class MomentumOptimizer : public UpdateRuleOptimizer {
   MomentumOptimizer(GraphExecutor& exec, double lr, double momentum = 0.9,
                     bool nesterov = false);
   std::string name() const override { return nesterov_ ? "Nesterov" : "Momentum"; }
-  Tensor update_rule(const Tensor& grad, const Tensor& old_param,
-                     const std::string& param_name) override;
+  void update_rule(const Tensor& grad, Tensor& param,
+                   const std::string& param_name) override;
 
  private:
   double lr_;
@@ -43,8 +44,8 @@ class AdaGradOptimizer : public UpdateRuleOptimizer {
  public:
   AdaGradOptimizer(GraphExecutor& exec, double lr, double eps = 1e-8);
   std::string name() const override { return "AdaGrad"; }
-  Tensor update_rule(const Tensor& grad, const Tensor& old_param,
-                     const std::string& param_name) override;
+  void update_rule(const Tensor& grad, Tensor& param,
+                   const std::string& param_name) override;
 
  private:
   double lr_;
@@ -57,8 +58,8 @@ class RMSPropOptimizer : public UpdateRuleOptimizer {
   RMSPropOptimizer(GraphExecutor& exec, double lr, double decay = 0.9,
                    double eps = 1e-8);
   std::string name() const override { return "RmsProp"; }
-  Tensor update_rule(const Tensor& grad, const Tensor& old_param,
-                     const std::string& param_name) override;
+  void update_rule(const Tensor& grad, Tensor& param,
+                   const std::string& param_name) override;
 
  private:
   double lr_;
@@ -67,17 +68,17 @@ class RMSPropOptimizer : public UpdateRuleOptimizer {
   std::map<std::string, Tensor> mean_sq_;
 };
 
-/// Adam (Kingma & Ba), translated directly from the published algorithm —
-/// the paper notes this reference version is slower than fused native
-/// kernels but converges identically (Fig. 10).
+/// Adam (Kingma & Ba), the published algorithm with per-parameter step
+/// counts. The paper's reference Adam is slower than fused native kernels
+/// but converges identically (Fig. 10); here both run update::adam, so
+/// they are bit-identical and cost the same per element (EXPERIMENTS E9).
 class AdamOptimizer : public UpdateRuleOptimizer {
  public:
   AdamOptimizer(GraphExecutor& exec, double lr = 1e-3, double beta1 = 0.9,
                 double beta2 = 0.999, double eps = 1e-8);
   std::string name() const override { return "Adam"; }
-  void begin_step();  // advances t; called from update via step tracking
-  Tensor update_rule(const Tensor& grad, const Tensor& old_param,
-                     const std::string& param_name) override;
+  void update_rule(const Tensor& grad, Tensor& param,
+                   const std::string& param_name) override;
 
  private:
   double lr_, beta1_, beta2_, eps_;
@@ -97,8 +98,8 @@ class AcceleGradOptimizer : public ThreeStepOptimizer {
 
   void new_input() override;
   void prepare_param(const std::string& param_name) override;
-  Tensor update_rule(const Tensor& grad, const Tensor& old_param,
-                     const std::string& param_name) override;
+  void update_rule(const Tensor& grad, Tensor& param,
+                   const std::string& param_name) override;
 
  private:
   double lr_, D_, G_, eps_;

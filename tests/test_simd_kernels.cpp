@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "core/rng.hpp"
 #include "core/simd.hpp"
 #include "core/threadpool.hpp"
+#include "dist/dist_optimizer.hpp"
 #include "frameworks/native_optimizers.hpp"
 #include "frameworks/plan_executor.hpp"
 #include "graph/executor.hpp"
@@ -31,6 +33,8 @@
 #include "ops/elementwise.hpp"
 #include "ops/gemm.hpp"
 #include "ops/softmax.hpp"
+#include "train/optimizers.hpp"
+#include "train/update_kernels.hpp"
 
 namespace d500 {
 namespace {
@@ -309,9 +313,113 @@ TEST(SimdKernels, PackedBitIdenticalAcrossDispatchAndPrepack) {
 }
 
 // ---------------------------------------------------------------------------
-// Optimizer updates run the exact scalar multiply/add sequence in their
-// vector bodies: full training trajectories must agree across dispatch
-// modes (softmax-family kernels inject small ULP noise, hence tolerance).
+// Shared optimizer update kernels (train/update_kernels) against a scalar
+// oracle that spells out the same fma pairing with std::fma: bitwise equal
+// under both dispatch modes, at lengths with and without a vector tail and
+// across several kUpdateGrain chunks.
+
+struct UpdateCase {
+  Tensor g, s1, s2, p;
+};
+
+UpdateCase update_case(std::int64_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  UpdateCase c{Tensor({n}), Tensor({n}), Tensor({n}), Tensor({n})};
+  c.g.fill_uniform(rng, -1, 1);
+  c.s1.fill_uniform(rng, 0, 1);  // non-negative: sqrt'd by some rules
+  c.s2.fill_uniform(rng, 0, 1);
+  c.p.fill_uniform(rng, -1, 1);
+  return c;
+}
+
+void expect_bits(const Tensor& got, const Tensor& want,
+                 const std::string& what) {
+  ASSERT_EQ(got.elements(), want.elements()) << what;
+  for (std::int64_t i = 0; i < got.elements(); ++i) {
+    std::uint32_t a, b;
+    std::memcpy(&a, got.data() + i, 4);
+    std::memcpy(&b, want.data() + i, 4);
+    ASSERT_EQ(a, b) << what << " differs at " << i << ": " << got.at(i)
+                    << " vs " << want.at(i);
+  }
+}
+
+TEST(SimdKernels, UpdateKernelsMatchScalarFmaOracleBitwise) {
+  const float lr = 0.0123f, mu = 0.9f, eps = 1e-8f, b1 = 0.9f, b2 = 0.999f;
+  const std::int64_t t = 3;
+  using Kernel = std::function<void(UpdateCase&)>;
+  using Oracle = std::function<void(float g, float& s1, float& s2, float& p)>;
+  const float bc1 = 1.0f - std::pow(b1, static_cast<float>(t));
+  const float bc2 = 1.0f - std::pow(b2, static_cast<float>(t));
+  struct Rule {
+    std::string name;
+    Kernel kernel;
+    Oracle oracle;
+  };
+  const std::vector<Rule> rules = {
+      {"sgd", [&](UpdateCase& c) { update::sgd(c.g, c.p, lr); },
+       [&](float g, float&, float&, float& p) { p = std::fma(-lr, g, p); }},
+      {"momentum",
+       [&](UpdateCase& c) { update::momentum(c.g, c.s1, c.p, lr, mu, false); },
+       [&](float g, float& v, float&, float& p) {
+         v = std::fma(-lr, g, v * mu);
+         p = p + v;
+       }},
+      {"nesterov",
+       [&](UpdateCase& c) { update::momentum(c.g, c.s1, c.p, lr, mu, true); },
+       [&](float g, float& v, float&, float& p) {
+         v = std::fma(-lr, g, v * mu);
+         p = std::fma(-lr, g, std::fma(mu, v, p));
+       }},
+      {"adagrad",
+       [&](UpdateCase& c) { update::adagrad(c.g, c.s1, c.p, lr, eps); },
+       [&](float g, float& a, float&, float& p) {
+         a = std::fma(g, g, a);
+         p = p - lr * g / (std::sqrt(a) + eps);
+       }},
+      {"rmsprop",
+       [&](UpdateCase& c) { update::rmsprop(c.g, c.s1, c.p, lr, mu, eps); },
+       [&](float g, float& ms, float&, float& p) {
+         ms = std::fma(mu, ms, (1.0f - mu) * g * g);
+         p = p - lr * g / (std::sqrt(ms) + eps);
+       }},
+      {"adam",
+       [&](UpdateCase& c) {
+         update::adam(c.g, c.s1, c.s2, c.p, lr, b1, b2, eps, t);
+       },
+       [&](float g, float& m, float& v, float& p) {
+         m = std::fma(b1, m, (1.0f - b1) * g);
+         v = std::fma(b2, v, (1.0f - b2) * g * g);
+         p = p - lr * (m / bc1) / (std::sqrt(v / bc2) + eps);
+       }},
+  };
+
+  DispatchGuard guard;
+  for (const std::int64_t n : {1, 7, 8, 16387}) {
+    for (const Rule& rule : rules) {
+      UpdateCase want = update_case(n, 97 + static_cast<std::uint64_t>(n));
+      for (std::int64_t i = 0; i < n; ++i)
+        rule.oracle(want.g.at(i), want.s1.at(i), want.s2.at(i), want.p.at(i));
+      for (const auto dm :
+           {simd::KernelDispatch::kScalar, simd::KernelDispatch::kSimd}) {
+        simd::set_kernel_dispatch(dm);
+        UpdateCase got = update_case(n, 97 + static_cast<std::uint64_t>(n));
+        rule.kernel(got);
+        const std::string what = rule.name + " n=" + std::to_string(n) +
+                                 " dispatch=" + simd::kernel_dispatch_name(dm);
+        expect_bits(got.p, want.p, what + " param");
+        expect_bits(got.s1, want.s1, what + " state");
+        expect_bits(got.s2, want.s2, what + " state2");
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Optimizer updates write every multiply-add as an explicit fma, so their
+// scalar and vector bodies round identically: full training trajectories
+// must agree across dispatch modes (softmax-family kernels inject small
+// ULP noise, hence tolerance).
 
 TEST(SimdKernels, AdamTrainingTrajectoryAgreesAcrossDispatch) {
   ThreadPool::instance().reset(1);
@@ -356,7 +464,10 @@ TEST(SimdKernels, AdamTrainingTrajectoryAgreesAcrossDispatch) {
 // ---------------------------------------------------------------------------
 // Pre-packed weight cache: two optimizer steps under prepack on vs off
 // must stay bitwise equal — step 2's forward runs on weights the optimizer
-// just rewrote, so any stale panel shows up as divergent parameters.
+// just rewrote in place (same storage, so only the params_version bump of
+// the mutable fetch_tensor marks the panels stale), and any stale panel
+// shows up as divergent parameters. Snapshots read through a const
+// Network so the test itself never bumps the version.
 
 TEST(SimdKernels, PrepackCacheInvalidatesAfterOptimizerSteps) {
   ThreadPool::instance().reset(1);
@@ -376,31 +487,63 @@ TEST(SimdKernels, PrepackCacheInvalidatesAfterOptimizerSteps) {
     }
   }
 
-  std::vector<TensorMap> trajectories;
-  for (const bool prepack : {false, true}) {
-    ExecOptions o;
-    o.prepack_weights = prepack;
-    PlanExecutor exec(build_network(m), prepack ? "prepack-on" : "prepack-off",
-                      o);
-    FusedSgdOptimizer opt(exec, "test", FusedSgdOptimizer::Rule::kMomentum,
-                          1e-2, 0.9);
+  // Each input trains two steps on `exec`, calling after(s) after step s.
+  using Train = std::function<void(PlanExecutor& exec,
+                                   const std::function<void(int)>& after)>;
+  auto steps = [&](Optimizer& opt, const std::function<void(int)>& after) {
     opt.set_loss_value("loss");
-    TensorMap snapshot;
     for (int s = 0; s < 2; ++s) {
       opt.train(feeds);
-      // Snapshot after every step: a stale panel would corrupt step 2.
-      for (const auto& pname : exec.network().parameters())
-        snapshot[pname + "@" + std::to_string(s)] =
-            exec.network().fetch_tensor(pname);
+      after(s);
     }
-    trajectories.push_back(std::move(snapshot));
-  }
-  ASSERT_EQ(trajectories[0].size(), trajectories[1].size());
-  for (const auto& [key, t] : trajectories[0]) {
-    const Tensor& other = trajectories[1].at(key);
-    ASSERT_EQ(t.shape(), other.shape()) << key;
-    EXPECT_EQ(std::memcmp(t.data(), other.data(), t.bytes()), 0)
-        << "prepack on/off diverged at " << key;
+  };
+  const std::vector<std::pair<std::string, Train>> inputs = {
+      {"FusedSgd momentum",
+       [&](PlanExecutor& exec, const std::function<void(int)>& after) {
+         FusedSgdOptimizer opt(exec, "test",
+                               FusedSgdOptimizer::Rule::kMomentum, 1e-2, 0.9);
+         steps(opt, after);
+       }},
+      {"Adam via ThreeStepOptimizer::train",
+       [&](PlanExecutor& exec, const std::function<void(int)>& after) {
+         AdamOptimizer opt(exec, 1e-2);
+         steps(opt, after);
+       }},
+      {"Adam via BucketedDecentralized, world 1",
+       [&](PlanExecutor& exec, const std::function<void(int)>& after) {
+         SimMpi mpi(1);
+         mpi.run([&](Communicator& comm) {
+           BucketOptions bo;
+           bo.overlap = 1;
+           BucketedDecentralized opt(
+               std::make_unique<AdamOptimizer>(exec, 1e-2), comm, bo);
+           steps(opt, after);
+         });
+       }},
+  };
+
+  for (const auto& [input, train] : inputs) {
+    std::vector<TensorMap> trajectories;
+    for (const bool prepack : {false, true}) {
+      ExecOptions o;
+      o.prepack_weights = prepack;
+      PlanExecutor exec(build_network(m),
+                        prepack ? "prepack-on" : "prepack-off", o);
+      const Network& net = exec.network();
+      TensorMap snapshot;
+      train(exec, [&](int s) {
+        for (const auto& pname : net.parameters())
+          snapshot[pname + "@" + std::to_string(s)] = net.fetch_tensor(pname);
+      });
+      trajectories.push_back(std::move(snapshot));
+    }
+    ASSERT_EQ(trajectories[0].size(), trajectories[1].size()) << input;
+    for (const auto& [key, t] : trajectories[0]) {
+      const Tensor& other = trajectories[1].at(key);
+      ASSERT_EQ(t.shape(), other.shape()) << input << " " << key;
+      EXPECT_EQ(std::memcmp(t.data(), other.data(), t.bytes()), 0)
+          << input << ": prepack on/off diverged at " << key;
+    }
   }
 }
 
