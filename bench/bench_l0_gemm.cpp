@@ -3,7 +3,10 @@
 // M=K=2560, N=64 (scaled 1/4 in M and K). Also sweeps every GEMM backend
 // under both kernel-dispatch modes (D500_KERNEL scalar vs simd) plus the
 // pre-packed-panel path, reporting GFLOP/s with hardware counters (IPC,
-// cache MPKI) per leg, and writes BENCH_kernels.json.
+// cache MPKI) per leg, plus the batch-4 training Linear under each B
+// packing strategy against the host's measured streaming bandwidth, and
+// writes BENCH_kernels.json.
+#include <cstring>
 #include <iostream>
 
 #include "common.hpp"
@@ -31,6 +34,22 @@ GemmData make_data(const GemmSize& s, Rng& rng) {
   d.a.fill_uniform(rng, -1, 1);
   d.b.fill_uniform(rng, -1, 1);
   return d;
+}
+
+/// Best-of-5 memcpy bandwidth over 32 MiB buffers (read + write bytes per
+/// second, in GB/s): the host's streaming ceiling for memory-bound legs.
+double measure_stream_gbps() {
+  const std::size_t n = std::size_t{8} << 20;
+  std::vector<float> src(n, 1.0f), dst(n, 0.0f);
+  double best = 0.0;
+  for (int trial = 0; trial < 5; ++trial) {
+    Timer t;
+    std::memcpy(dst.data(), src.data(), n * sizeof(float));
+    const double s = t.seconds();
+    src[static_cast<std::size_t>(trial)] = dst[n - 1] + 1.0f;
+    best = std::max(best, 2.0 * static_cast<double>(n * sizeof(float)) / s * 1e-9);
+  }
+  return best;
 }
 
 struct Series {
@@ -272,6 +291,78 @@ int run() {
   }
   std::cout << et.to_text();
 
+  // -- Training Linear: where per-call packing goes ------------------------
+  // A batch-4 training step meets each weight once per parameter version,
+  // so its Linear GEMMs (M = 4, one microkernel row block) get nothing back
+  // from packing all of W first. Forward (Y = X W^T, B transposed): the
+  // prepacked panels a serving session holds, the per-call workspace (pack
+  // every panel, then compute) and the streamed path (each panel packed
+  // into a cache-resident tile right before its one use). Input gradient
+  // (dX = dY W, B row-major): workspace vs reading W in place. Every leg
+  // reads the 4 MiB weight at least once, so each is also quoted as that
+  // traffic over the measured streaming bandwidth (W may partly stay in
+  // the last-level cache between repetitions, which can lift the fraction).
+  const double stream_gbps = measure_stream_gbps();
+  const std::int64_t tb = 4, tin = 1024, tout = 1024;
+  std::cout << "\n-- Training Linear M=" << tb << ", " << tout << "x" << tin
+            << " (stream " << Table::num(stream_gbps, 1) << " GB/s) --\n";
+  Tensor TX({tb, tin}), TW({tout, tin}), TY({tb, tout}), TdY({tb, tout}),
+      TdX({tb, tin});
+  TX.fill_uniform(rng, -1, 1);
+  TW.fill_uniform(rng, -1, 1);
+  TdY.fill_uniform(rng, -1, 1);
+  std::vector<float> wt_panels(
+      static_cast<std::size_t>(gemm_packed_b_elems(tin, tout)));
+  std::vector<float> w_panels(
+      static_cast<std::size_t>(gemm_packed_b_elems(tout, tin)));
+  gemm_pack_bt(tout, tin, TW.data(), wt_panels.data());
+  struct TrainLeg {
+    std::string name;
+    double median_s = 0.0;
+  };
+  std::vector<TrainLeg> train_legs;
+  auto time_train = [&](const std::string& label, auto&& call) {
+    call();  // warmup: grows the per-thread workspaces and tiles
+    std::vector<double> ts;
+    ts.reserve(static_cast<std::size_t>(reruns));
+    for (int r = 0; r < reruns; ++r) {
+      Timer t;
+      call();
+      ts.push_back(t.seconds());
+    }
+    train_legs.push_back({label, summarize(ts).median});
+  };
+  time_train("fwd.prepacked", [&] {
+    gemm_packed_ex(tb, tout, tin, 1.0f, TX.data(), nullptr, TW.data(),
+                   wt_panels.data(), true, 0.0f, TY.data());
+  });
+  time_train("fwd.workspace", [&] {
+    gemm_pack_bt(tout, tin, TW.data(), wt_panels.data());
+    gemm_packed_ex(tb, tout, tin, 1.0f, TX.data(), nullptr, TW.data(),
+                   wt_panels.data(), true, 0.0f, TY.data());
+  });
+  time_train("fwd.streamed", [&] {
+    gemm_packed_ex(tb, tout, tin, 1.0f, TX.data(), nullptr, TW.data(),
+                   nullptr, true, 0.0f, TY.data());
+  });
+  time_train("dx.workspace", [&] {
+    gemm_pack_b(tout, tin, TW.data(), w_panels.data());
+    gemm_packed_ex(tb, tin, tout, 1.0f, TdY.data(), nullptr, TW.data(),
+                   w_panels.data(), false, 0.0f, TdX.data());
+  });
+  time_train("dx.direct", [&] {
+    gemm_packed_ex(tb, tin, tout, 1.0f, TdY.data(), nullptr, TW.data(),
+                   nullptr, false, 0.0f, TdX.data());
+  });
+  const double train_flops = static_cast<double>(gemm_flops(tb, tout, tin));
+  const double w_bytes = static_cast<double>(TW.bytes());
+  Table tt({"leg", "median", "GFLOP/s", "W bytes / stream bw"});
+  for (const TrainLeg& leg : train_legs)
+    tt.add_row({leg.name, Table::num(leg.median_s * 1e3, 3) + " ms",
+                Table::num(train_flops / leg.median_s * 1e-9, 2),
+                Table::num(w_bytes / leg.median_s * 1e-9 / stream_gbps, 2)});
+  std::cout << tt.to_text();
+
   const bool hw_live = perf.perf_available();
   Table kt(hw_live
                ? std::vector<std::string>{"kernel/dispatch", "median",
@@ -309,6 +400,15 @@ int run() {
   for (const EpiLeg& leg : epi_legs)
     report.add_scalar("epilogue." + leg.name + ".gflops", leg.gflops,
                       "GFLOP/s", Better::kHigher);
+  report.add_scalar("host.stream_gbps", stream_gbps, "GB/s", Better::kHigher);
+  for (const TrainLeg& leg : train_legs) {
+    report.add_scalar("train_linear." + leg.name + ".gflops",
+                      train_flops / leg.median_s * 1e-9, "GFLOP/s",
+                      Better::kHigher);
+    report.add_scalar("train_linear." + leg.name + ".stream_frac",
+                      w_bytes / leg.median_s * 1e-9 / stream_gbps, "fraction",
+                      Better::kHigher);
+  }
   for (const auto& [name, v] : worst_linf)
     report.add_scalar("linf." + name, v, "abs");
   JsonWriter extra;

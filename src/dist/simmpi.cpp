@@ -250,23 +250,24 @@ void SimMpi::complete_allreduce(CollectiveOp& op) {
   if (n == 1 || len == 0) {
     return;
   }
-  std::vector<float> acc(len);
   // Per ring chunk c, fold contributions in cyclic order starting at rank
   // c — the summation order chunk c experiences in allreduce_sum_ring
   // (it originates at rank c and accumulates while travelling the ring).
+  // The fold runs in place in rank c's chunk, which no other chunk's fold
+  // reads, and the finished chunk is then copied to the other ranks.
   for (int c = 0; c < n; ++c) {
     const std::size_t lo = ring_chunk_begin(len, n, c);
     const std::size_t sz = ring_chunk_size(len, n, c);
-    float* a = acc.data() + lo;
-    std::copy_n(op.bufs[static_cast<std::size_t>(c)].data() + lo, sz, a);
+    float* a = op.bufs[static_cast<std::size_t>(c)].data() + lo;
     for (int s = 1; s < n; ++s) {
       const float* src =
           op.bufs[static_cast<std::size_t>((c + s) % n)].data() + lo;
       for (std::size_t i = 0; i < sz; ++i) a[i] += src[i];
     }
+    for (int s = 1; s < n; ++s)
+      std::copy_n(a, sz,
+                  op.bufs[static_cast<std::size_t>((c + s) % n)].data() + lo);
   }
-  for (int r = 0; r < n; ++r)
-    std::copy(acc.begin(), acc.end(), op.bufs[static_cast<std::size_t>(r)].begin());
 }
 
 SimMpi::Message SimMpi::take(int src, int dst, int tag) {

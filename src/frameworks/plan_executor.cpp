@@ -71,7 +71,7 @@ void PlanExecutor::compile(const TensorMap& feeds, bool training) {
 
   // Ops outlive compiles (the Network owns them): detach any panel
   // pointers installed by a previous compile before their buffers die.
-  for (const Prepack& e : prepack_) install_prepack(e, nullptr, nullptr);
+  uninstall_prepack();
   prepack_.clear();
   prepack_buffers_.clear();
   prepack_fresh_.clear();
@@ -407,9 +407,9 @@ void PlanExecutor::build_prepack() {
       e.kind = Prepack::Kind::kConvW;
     } else if (auto* fcb = dynamic_cast<FusedConvBnOp*>(op)) {
       // Training-mode forwards run the inner conv on the original filter
-      // (input 1), so the panels stay valid; the eval-mode fold installs
-      // its own folded panels over these and the next repack (after any
-      // parameter update) restores them.
+      // (input 1), so the panels stay valid; the eval-mode fold lends its
+      // folded panels to the conv only for the duration of its own call,
+      // so the slot always holds these panels or nothing.
       if (fcb->conv().backend() != ConvBackend::kIm2col) continue;
       e.kind = Prepack::Kind::kFusedConvW;
     } else {
@@ -451,7 +451,11 @@ void PlanExecutor::build_prepack() {
     prepack_.push_back(std::move(e));
   }
   prepack_fresh_.reserve(prepack_buffers_.size());
-  if (!prepack_.empty()) repack_weights();
+}
+
+void PlanExecutor::uninstall_prepack() {
+  for (const Prepack& e : prepack_) install_prepack(e, nullptr, nullptr);
+  prepack_installed_ = false;
 }
 
 void PlanExecutor::repack_weights() {
@@ -485,6 +489,7 @@ void PlanExecutor::repack_weights() {
     install_prepack(e, panels, w.data());
   }
   prepack_version_ = net_.params_version();
+  prepack_installed_ = true;
 }
 
 void PlanExecutor::refresh_folds() {
@@ -592,8 +597,18 @@ void PlanExecutor::run_forward(const TensorMap& feeds) {
   // Weight panels go stale whenever stored tensors may have mutated
   // (optimizers update parameters in place through the mutable
   // fetch_tensor, which bumps the version counter, as feed_tensor does).
-  if (!prepack_.empty() && prepack_version_ != net_.params_version())
-    repack_weights();
+  // Packing pays only when a forward reuses the panels: the first forward
+  // at a new version runs with the panels uninstalled (the ops pack per
+  // call, streaming single-row-block GEMMs), and only a second forward at
+  // the same version repacks. A training loop, which moves the version
+  // every step, therefore never repacks; serving and repeated evaluation
+  // keep their panels from their second call on.
+  if (!prepack_.empty()) {
+    const std::uint64_t v = net_.params_version();
+    if (prepack_installed_ && prepack_version_ != v) uninstall_prepack();
+    if (!prepack_installed_ && forward_version_ == v) repack_weights();
+    forward_version_ = v;
+  }
 
   // Stage feeds into their slots (framework feed/conversion boundary).
   // compile() assigned feed slots 0..n-1 in map order, which feeds_match

@@ -33,18 +33,22 @@
 //                            deferred path (no effect when
 //                            reuse_activations is off). On/off is
 //                            bit-identical; off keeps one buffer per value.
-//   * prepack_weights      — plan-time weight pre-packing: parameters that
-//                            feed packed GEMMs (MatMul B operands, Linear
-//                            weights, im2col Conv filters) are packed into
-//                            arena-backed panel buffers at compile time and
-//                            the ops consume the panels directly, skipping
-//                            the per-call pack. The Network params_version
-//                            counter invalidates the cache whenever an
-//                            optimizer publishes new weights; the repack is
-//                            a traced, parallel, allocation-free pass at
-//                            the start of the next run. Per-call and
-//                            prepacked packing share one code path, so
-//                            on/off is bit-identical.
+//   * prepack_weights      — weight pre-packing: parameters that feed
+//                            packed GEMMs (MatMul B operands, Linear
+//                            weights, im2col Conv filters) get arena-backed
+//                            panel buffers at compile time, and the ops
+//                            consume installed panels directly, skipping
+//                            the per-call pack. Panels are packed only when
+//                            they will be reused: the Network
+//                            params_version counter uninstalls them
+//                            whenever an optimizer publishes new weights,
+//                            the first forward at a version runs on
+//                            per-call packing, and the second forward at
+//                            the same version repacks (a traced, parallel,
+//                            allocation-free pass). Training therefore
+//                            never repacks; serving and evaluation pack
+//                            once. Per-call and prepacked packing feed the
+//                            same microkernel, so on/off is bit-identical.
 #pragma once
 
 #include <mutex>
@@ -206,6 +210,8 @@ class PlanExecutor : public GraphExecutor {
   /// and re-installs the panel pointers on the consuming ops. Parallel
   /// inside the pack kernels, traced, allocation-free.
   void repack_weights();
+  /// Detaches every installed panel pointer; the ops pack per call.
+  void uninstall_prepack();
   /// Re-evaluates constfold results in recorded (dependency) order and
   /// invalidates conv+bn eval folds; runs at the top of run_forward when
   /// params_version has moved past fold_version_. Writes in place when
@@ -267,7 +273,11 @@ class PlanExecutor : public GraphExecutor {
   std::vector<Prepack> prepack_;
   std::vector<PlanBuffer> prepack_buffers_;
   std::vector<char> prepack_fresh_;  // per-buffer repack scratch (no alloc)
+  bool prepack_installed_ = false;   // panels on the ops, packed at:
   std::uint64_t prepack_version_ = 0;
+  // params_version seen by the previous forward; the initial value is one
+  // no counter reaches.
+  std::uint64_t forward_version_ = ~std::uint64_t{0};
 
   // Parameter-gradient publish table: grads_[slot] is copied into the
   // stored tensor each backprop (slot -1 = parameter unused by the

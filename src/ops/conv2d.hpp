@@ -64,6 +64,8 @@ class Conv2DOp : public CustomOperator {
     prepacked_w_ = packed;
     prepacked_src_ = src;
   }
+  const float* prepacked_w() const { return prepacked_w_; }
+  const float* prepacked_src() const { return prepacked_src_; }
 
   /// Bytes of scratch the backend allocates for the given input shapes;
   /// used by the micro-batching memory model (Level 1).

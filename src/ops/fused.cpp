@@ -141,8 +141,16 @@ void FusedConvBnOp::forward(const ConstTensors& inputs,
     // Eval mode needs no backward, so the ReLU can ride the conv's fused
     // epilogue (one pass over Y on the im2col backend). Installed
     // transiently: the training path must keep ReLU after the bn sweep.
+    // The folded panels are lent the same way: the conv's prepack slot
+    // belongs to the executor's weight cache, which may uninstall or
+    // repack it between calls, so it never keeps folded panels.
     if (with_relu_) conv_->try_fuse_epilogue(Activation::kReLU);
+    const float* const slot_w = conv_->prepacked_w();
+    const float* const slot_src = conv_->prepacked_src();
+    if (!fold_panels_.empty())
+      conv_->set_prepacked_w(fold_panels_.data(), w_folded_.data());
     conv_->forward(sub_in_, sub_out_);
+    conv_->set_prepacked_w(slot_w, slot_src);
     if (with_relu_) conv_->clear_epilogue();
     return;
   }
@@ -231,7 +239,6 @@ void FusedConvBnOp::ensure_fold(const Tensor& W, const Tensor& bias,
   if (conv_->backend() == ConvBackend::kIm2col) {
     fold_panels_.resize(static_cast<std::size_t>(gemm_packed_a_elems(F, CKK)));
     gemm_pack_a(F, CKK, w_folded_.data(), fold_panels_.data());
-    conv_->set_prepacked_w(fold_panels_.data(), w_folded_.data());
   }
   fold_src_w_ = W.data();
   fold_src_b_ = bias.data();

@@ -149,6 +149,20 @@ void pack_a_panel(std::int64_t i0, std::int64_t rows, std::int64_t K,
   }
 }
 
+void pack_at_panel(std::int64_t i0, std::int64_t rows, std::int64_t K,
+                   const float* At, std::int64_t ldat, float* dst) {
+  // Same destination layout as pack_a_panel, sourced from At (K x M): the
+  // logical A is At^T, so dst[k*kMR + r] = At[k*ldat + i0+r] — a contiguous
+  // run of `rows` floats per k.
+  for (std::int64_t k = 0; k < K; ++k) {
+    const float* src = At + k * ldat + i0;
+    float* d = dst + k * kMR;
+    std::int64_t r = 0;
+    for (; r < rows; ++r) d[r] = src[r];
+    for (; r < kMR; ++r) d[r] = 0.0f;
+  }
+}
+
 void pack_b_panel(std::int64_t j0, std::int64_t cols, std::int64_t K,
                   const float* B, std::int64_t ldb, float* dst) {
   // dst[k*kNR + jj] = B[k*ldb + j0+jj], columns zero-padded to kNR.
@@ -161,11 +175,67 @@ void pack_b_panel(std::int64_t j0, std::int64_t cols, std::int64_t K,
   }
 }
 
+#if defined(__AVX2__)
+// dst[t*ldd + r] = src[r*lds + t] for an 8 x 8 block (the classic
+// unpack / shuffle / lane-permute network).
+inline void transpose8x8(const float* src, std::int64_t lds, float* dst,
+                         std::int64_t ldd) {
+  const __m256 r0 = _mm256_loadu_ps(src + 0 * lds);
+  const __m256 r1 = _mm256_loadu_ps(src + 1 * lds);
+  const __m256 r2 = _mm256_loadu_ps(src + 2 * lds);
+  const __m256 r3 = _mm256_loadu_ps(src + 3 * lds);
+  const __m256 r4 = _mm256_loadu_ps(src + 4 * lds);
+  const __m256 r5 = _mm256_loadu_ps(src + 5 * lds);
+  const __m256 r6 = _mm256_loadu_ps(src + 6 * lds);
+  const __m256 r7 = _mm256_loadu_ps(src + 7 * lds);
+  const __m256 t0 = _mm256_unpacklo_ps(r0, r1);
+  const __m256 t1 = _mm256_unpackhi_ps(r0, r1);
+  const __m256 t2 = _mm256_unpacklo_ps(r2, r3);
+  const __m256 t3 = _mm256_unpackhi_ps(r2, r3);
+  const __m256 t4 = _mm256_unpacklo_ps(r4, r5);
+  const __m256 t5 = _mm256_unpackhi_ps(r4, r5);
+  const __m256 t6 = _mm256_unpacklo_ps(r6, r7);
+  const __m256 t7 = _mm256_unpackhi_ps(r6, r7);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  _mm256_storeu_ps(dst + 0 * ldd, _mm256_permute2f128_ps(s0, s4, 0x20));
+  _mm256_storeu_ps(dst + 1 * ldd, _mm256_permute2f128_ps(s1, s5, 0x20));
+  _mm256_storeu_ps(dst + 2 * ldd, _mm256_permute2f128_ps(s2, s6, 0x20));
+  _mm256_storeu_ps(dst + 3 * ldd, _mm256_permute2f128_ps(s3, s7, 0x20));
+  _mm256_storeu_ps(dst + 4 * ldd, _mm256_permute2f128_ps(s0, s4, 0x31));
+  _mm256_storeu_ps(dst + 5 * ldd, _mm256_permute2f128_ps(s1, s5, 0x31));
+  _mm256_storeu_ps(dst + 6 * ldd, _mm256_permute2f128_ps(s2, s6, 0x31));
+  _mm256_storeu_ps(dst + 7 * ldd, _mm256_permute2f128_ps(s3, s7, 0x31));
+}
+#endif
+
 void pack_bt_panel(std::int64_t j0, std::int64_t cols, std::int64_t K,
                    const float* Bt, std::int64_t ldbt, float* dst) {
   // Same destination layout as pack_b_panel, sourced from Bt (N x K): the
-  // logical B is Bt^T, so dst[k*kNR + jj] = Bt[(j0+jj)*ldbt + k].
-  for (std::int64_t jj = 0; jj < cols; ++jj) {
+  // logical B is Bt^T, so dst[k*kNR + jj] = Bt[(j0+jj)*ldbt + k]. Packing
+  // only moves bits, so the 8 x 8 transpose blocks (SIMD dispatch on AVX2
+  // builds) and the portable element loop produce identical panels.
+  std::int64_t jv = 0;  // columns [0, jv) done by transpose blocks
+#if defined(__AVX2__)
+  if (simd::dispatch_simd()) {
+    const std::int64_t k8 = K / 8 * 8;
+    for (; jv + 8 <= cols; jv += 8) {
+      const float* src = Bt + (j0 + jv) * ldbt;
+      for (std::int64_t k = 0; k < k8; k += 8)
+        transpose8x8(src + k, ldbt, dst + k * kNR + jv, kNR);
+      for (std::int64_t jj = jv; jj < jv + 8; ++jj)
+        for (std::int64_t k = k8; k < K; ++k)
+          dst[k * kNR + jj] = Bt[(j0 + jj) * ldbt + k];
+    }
+  }
+#endif
+  for (std::int64_t jj = jv; jj < cols; ++jj) {
     const float* src = Bt + (j0 + jj) * ldbt;
     for (std::int64_t k = 0; k < K; ++k) dst[k * kNR + jj] = src[k];
   }
@@ -203,10 +273,17 @@ void pack_bt_panel(std::int64_t j0, std::int64_t cols, std::int64_t K,
 // k-loop's register allocation and serialize the chain per kNR-wide slice.
 // The chain instead runs per completed row block in gemm_packed_ex, while
 // the block is still L1-resident (see apply_block_epilogue).
-template <class V, bool HasBias>
+//
+// DirectB is the same kind of compile-time split: the DirectB kernel reads
+// a full kNR-column window of a row-major B in place, row k at Bp + k*ldb,
+// instead of a packed panel. The loaded values — and so every fma — are the
+// ones the packed panel would hold; only the address stride differs. The
+// packed instantiation ignores `ldb` and keeps its constant kNR stride: a
+// runtime stride in its k-loop measurably slows the conv-heavy workloads.
+template <class V, bool HasBias, bool DirectB>
 void micro_kernel(std::int64_t K, const float* Ap, const float* Bp,
-                  float alpha, float* C, std::int64_t ldc, std::int64_t rows,
-                  std::int64_t cols, const float* bias) {
+                  std::int64_t ldb, float alpha, float* C, std::int64_t ldc,
+                  std::int64_t rows, std::int64_t cols, const float* bias) {
   constexpr int NV = static_cast<int>(kNR / V::width);
   V acc[kMR][NV];
   D500_UNROLL
@@ -215,7 +292,7 @@ void micro_kernel(std::int64_t K, const float* Ap, const float* Bp,
     for (int v = 0; v < NV; ++v) acc[r][v] = V::zero();
 
   for (std::int64_t k = 0; k < K; ++k) {
-    const float* b = Bp + k * kNR;
+    const float* b = Bp + k * (DirectB ? ldb : kNR);
     V bv[NV];
     D500_UNROLL
     for (int v = 0; v < NV; ++v) bv[v] = V::loadu(b + v * V::width);
@@ -266,16 +343,17 @@ void micro_kernel(std::int64_t K, const float* Ap, const float* Bp,
   }
 }
 
-using MicroKernelFn = void (*)(std::int64_t, const float*, const float*, float,
-                               float*, std::int64_t, std::int64_t, std::int64_t,
-                               const float*);
+using MicroKernelFn = void (*)(std::int64_t, const float*, const float*,
+                               std::int64_t, float, float*, std::int64_t,
+                               std::int64_t, std::int64_t, const float*);
 
+template <bool DirectB>
 MicroKernelFn pick_micro_kernel(bool has_bias) {
   if (has_bias)
-    return simd::dispatch_simd() ? &micro_kernel<VecN, true>
-                                 : &micro_kernel<Vec1, true>;
-  return simd::dispatch_simd() ? &micro_kernel<VecN, false>
-                               : &micro_kernel<Vec1, false>;
+    return simd::dispatch_simd() ? &micro_kernel<VecN, true, DirectB>
+                                 : &micro_kernel<Vec1, true, DirectB>;
+  return simd::dispatch_simd() ? &micro_kernel<VecN, false, DirectB>
+                               : &micro_kernel<Vec1, false, DirectB>;
 }
 
 // Runs the activation chain (and the optional pre-chain save-out the
@@ -351,40 +429,128 @@ void gemm_pack_bt(std::int64_t N, std::int64_t K, const float* Bt,
   });
 }
 
-void gemm_packed_ex(std::int64_t M, std::int64_t N, std::int64_t K,
-                    float alpha, const float* A, const float* packedA,
-                    const float* B, const float* packedB, bool b_transposed,
-                    float beta, float* C, const GemmEpilogue* epi) {
+namespace {
+
+// Panels per parallel chunk on the single-row-block path (a build
+// constant, so the decomposition is a pure function of N).
+constexpr std::int64_t kPanelGrain = 4;
+
+// Zeroes (beta == 0) or scales (beta != 1) a rows x cols window of C ahead
+// of its tile stores.
+void scale_c(float* C, std::int64_t ldc, std::int64_t rows, std::int64_t cols,
+             float beta) {
+  if (beta == 1.0f) return;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    float* c = C + r * ldc;
+    if (beta == 0.0f)
+      std::memset(c, 0, static_cast<std::size_t>(cols) * sizeof(float));
+    else
+      for (std::int64_t j = 0; j < cols; ++j) c[j] *= beta;
+  }
+}
+
+// M <= kMR: one row block, so every B panel meets exactly one A panel and a
+// packed B workspace buys no reuse. The column panels are the parallel
+// chunks instead. A full kNR window of a row-major B is read in place
+// (DirectB kernel); a transposed or ragged panel is packed into the
+// executing thread's own tile right before its one use, while the tile is
+// still cache-resident. Panel contents, microkernel arithmetic and
+// writeback are those of the workspace path, so every C element gets the
+// same bits; the epilogue chain runs per row over each chunk's columns.
+void packed_single_block(std::int64_t M, std::int64_t N, std::int64_t K,
+                         float alpha, const float* pa, const float* B,
+                         const float* packedB, bool b_transposed, float beta,
+                         float* C, const GemmEpilogue* epi) {
+  const std::int64_t np = (N + kNR - 1) / kNR;
+  const float* const bias = epi != nullptr ? epi->bias : nullptr;
+  const bool block_epi =
+      epi != nullptr && (epi->chain_len > 0 || epi->save_pre != nullptr);
+  const MicroKernelFn packed = pick_micro_kernel<false>(bias != nullptr);
+  const MicroKernelFn direct = pick_micro_kernel<true>(bias != nullptr);
+  parallel_for(0, np, kPanelGrain, [&, packed, direct](std::int64_t p0,
+                                                        std::int64_t p1) {
+    const std::int64_t c0 = p0 * kNR;
+    const std::int64_t c1 = std::min(p1 * kNR, N);
+    scale_c(C + c0, N, M, c1 - c0, beta);
+    for (std::int64_t p = p0; p < p1; ++p) {
+      const std::int64_t j0 = p * kNR;
+      const std::int64_t cols = std::min(kNR, N - j0);
+      const float* const bj = bias != nullptr ? bias + j0 : nullptr;
+      if (packedB != nullptr) {
+        packed(K, pa, packedB + p * K * kNR, kNR, alpha, C + j0, N, M, cols,
+               bj);
+      } else if (!b_transposed && cols == kNR) {
+        direct(K, pa, B + j0, N, alpha, C + j0, N, M, cols, bj);
+      } else {
+        // Deliberately the executing worker's own grow-only tile.
+        thread_local std::vector<float> tile;
+        if (tile.size() < static_cast<std::size_t>(K * kNR))
+          tile.resize(static_cast<std::size_t>(K * kNR));
+        if (b_transposed)
+          pack_bt_panel(j0, cols, K, B, K, tile.data());
+        else
+          pack_b_panel(j0, cols, K, B, N, tile.data());
+        packed(K, pa, tile.data(), kNR, alpha, C + j0, N, M, cols, bj);
+      }
+    }
+    if (block_epi)
+      for (std::int64_t r = 0; r < M; ++r)
+        apply_block_epilogue(
+            epi, C + r * N + c0,
+            epi->save_pre != nullptr ? epi->save_pre + r * N + c0 : nullptr,
+            c1 - c0);
+  });
+}
+
+// The kPacked core behind gemm_packed_ex and the transposed-operand entry
+// points. `a_transposed`: A is stored (K x M) and packed via pack_at_panel
+// (packedA, if given, must hold gemm_pack_a output of the logical A).
+void packed_core(std::int64_t M, std::int64_t N, std::int64_t K, float alpha,
+                 const float* A, const float* packedA, bool a_transposed,
+                 const float* B, const float* packedB, bool b_transposed,
+                 float beta, float* C, const GemmEpilogue* epi) {
   if (epi != nullptr && !epi->active()) epi = nullptr;
   D500_CHECK_MSG(epi == nullptr || beta == 0.0f,
                  "gemm epilogue requires beta == 0 (each C element must be "
                  "produced by exactly one tile store)");
   const std::int64_t mp = (M + kMR - 1) / kMR;
   const std::int64_t np = (N + kNR - 1) / kNR;
+  const auto pack_a = [&](std::int64_t p, float* dst) {
+    const std::int64_t i0 = p * kMR;
+    if (a_transposed)
+      pack_at_panel(i0, std::min(kMR, M - i0), K, A, M, dst);
+    else
+      pack_a_panel(i0, std::min(kMR, M - i0), K, A, K, dst);
+  };
 
   // Pack whichever operands arrived unpacked into grow-only per-thread
   // workspaces (steady-state calls never touch the heap). The lambdas must
   // see the CALLER's buffer: a thread_local named inside a lambda body
   // resolves to the executing worker's own (empty) instance, so hand
-  // workers plain pointers instead. A and B panels pack in ONE parallel
-  // region: indices below `mp` are A panels, the rest B panels.
+  // workers plain pointers instead.
   thread_local std::vector<float> ws_a, ws_b;
   const std::int64_t need_a = packedA == nullptr ? mp : 0;
-  const std::int64_t need_b = packedB == nullptr ? np : 0;
   if (need_a && ws_a.size() < static_cast<std::size_t>(mp * K * kMR))
     ws_a.resize(static_cast<std::size_t>(mp * K * kMR));
+  if (mp == 1) {
+    if (need_a) pack_a(0, ws_a.data());
+    packed_single_block(M, N, K, alpha, need_a ? ws_a.data() : packedA, B,
+                        packedB, b_transposed, beta, C, epi);
+    return;
+  }
+  const std::int64_t need_b = packedB == nullptr ? np : 0;
   if (need_b && ws_b.size() < static_cast<std::size_t>(np * K * kNR))
     ws_b.resize(static_cast<std::size_t>(np * K * kNR));
   float* const pa_buf = need_a ? ws_a.data() : nullptr;
   float* const pb_buf = need_b ? ws_b.data() : nullptr;
+  // A and B panels pack in ONE parallel region: indices below `need_a` are
+  // A panels, the rest B panels.
   if (need_a + need_b > 0) {
     parallel_for(0, need_a + need_b, 4,
                  [&, pa_buf, pb_buf](std::int64_t p0, std::int64_t p1) {
       for (std::int64_t p = p0; p < p1; ++p) {
         if (p < need_a) {
-          const std::int64_t i0 = p * kMR;
-          pack_a_panel(i0, std::min(kMR, M - i0), K, A, K,
-                       pa_buf + p * K * kMR);
+          pack_a(p, pa_buf + p * K * kMR);
         } else {
           const std::int64_t q = p - need_a;
           const std::int64_t j0 = q * kNR;
@@ -406,21 +572,16 @@ void gemm_packed_ex(std::int64_t M, std::int64_t N, std::int64_t K,
   const float* const bias = epi != nullptr ? epi->bias : nullptr;
   const bool block_epi =
       epi != nullptr && (epi->chain_len > 0 || epi->save_pre != nullptr);
-  const MicroKernelFn micro = pick_micro_kernel(bias != nullptr);
+  const MicroKernelFn micro = pick_micro_kernel<false>(bias != nullptr);
   parallel_for(0, mp, 2, [&, pa, pb, micro](std::int64_t b0, std::int64_t b1) {
     for (std::int64_t blk = b0; blk < b1; ++blk) {
       const std::int64_t i0 = blk * kMR;
       const std::int64_t rows = std::min(kMR, M - i0);
-      if (beta == 0.0f) {
-        std::memset(C + i0 * N, 0,
-                    static_cast<std::size_t>(rows) * N * sizeof(float));
-      } else if (beta != 1.0f) {
-        for (std::int64_t i = i0 * N; i < (i0 + rows) * N; ++i) C[i] *= beta;
-      }
+      scale_c(C + i0 * N, N, rows, N, beta);
       for (std::int64_t p = 0; p < np; ++p) {
         const std::int64_t j0 = p * kNR;
-        micro(K, pa + blk * K * kMR, pb + p * K * kNR, alpha, C + i0 * N + j0,
-              N, rows, std::min(kNR, N - j0),
+        micro(K, pa + blk * K * kMR, pb + p * K * kNR, kNR, alpha,
+              C + i0 * N + j0, N, rows, std::min(kNR, N - j0),
               bias != nullptr ? bias + j0 : nullptr);
       }
       if (block_epi)
@@ -430,6 +591,16 @@ void gemm_packed_ex(std::int64_t M, std::int64_t N, std::int64_t K,
             rows * N);
     }
   });
+}
+
+}  // namespace
+
+void gemm_packed_ex(std::int64_t M, std::int64_t N, std::int64_t K,
+                    float alpha, const float* A, const float* packedA,
+                    const float* B, const float* packedB, bool b_transposed,
+                    float beta, float* C, const GemmEpilogue* epi) {
+  packed_core(M, N, K, alpha, A, packedA, /*a_transposed=*/false, B, packedB,
+              b_transposed, beta, C, epi);
 }
 
 void gemm(GemmBackend backend, std::int64_t M, std::int64_t N, std::int64_t K,
@@ -515,9 +686,18 @@ void gemm_a_bt_impl(std::int64_t M, std::int64_t N, std::int64_t K,
 }  // namespace
 
 void gemm_at_b(GemmBackend backend, std::int64_t M, std::int64_t N,
-               std::int64_t K, const float* A, const float* B, float* C) {
-  // C(MxN) += A^T(MxK as KxM input) x B(KxN): A is stored (K rows, M cols).
-  if (M <= 0 || N <= 0 || K <= 0) return;
+               std::int64_t K, const float* A, const float* B, float* C,
+               float beta) {
+  // C(MxN) = A^T(MxK as KxM input) x B(KxN) + beta*C: A is stored (K rows,
+  // M cols).
+  if (M <= 0 || N <= 0) return;
+  if (backend == GemmBackend::kPacked) {
+    packed_core(M, N, K, 1.0f, A, nullptr, /*a_transposed=*/true, B, nullptr,
+                /*b_transposed=*/false, beta, C, nullptr);
+    return;
+  }
+  scale_c(C, N, M, N, beta);
+  if (K <= 0) return;
   if (backend == GemmBackend::kNaive) {
     for (std::int64_t k = 0; k < K; ++k) {
       const float* Ak = A + k * M;
@@ -541,6 +721,11 @@ void gemm_a_bt(GemmBackend backend, std::int64_t M, std::int64_t N,
                std::int64_t K, const float* A, const float* B, float* C) {
   // C(MxN) += A(MxK) x B^T where B is stored (N rows, K cols).
   if (M <= 0 || N <= 0 || K <= 0) return;
+  if (backend == GemmBackend::kPacked) {
+    gemm_packed_ex(M, N, K, 1.0f, A, nullptr, B, nullptr,
+                   /*b_transposed=*/true, 1.0f, C);
+    return;
+  }
   if (backend == GemmBackend::kNaive) {
     for (std::int64_t i = 0; i < M; ++i) {
       const float* Ai = A + i * K;
@@ -615,10 +800,9 @@ void MatMulOp::backward(const ConstTensors& grad_outputs,
     grad_inputs[0]->fill(0.0f);
     gemm_a_bt(backend_, M, K, N, dC.data(), B.data(), grad_inputs[0]->data());
   }
-  if (grad_inputs[1]) {  // dB = A^T x dC
-    grad_inputs[1]->fill(0.0f);
-    gemm_at_b(backend_, K, N, M, A.data(), dC.data(), grad_inputs[1]->data());
-  }
+  if (grad_inputs[1])  // dB = A^T x dC
+    gemm_at_b(backend_, K, N, M, A.data(), dC.data(), grad_inputs[1]->data(),
+              /*beta=*/0.0f);
 }
 
 std::uint64_t MatMulOp::forward_flops(const std::vector<Shape>& inputs) const {
@@ -702,11 +886,9 @@ void LinearOp::backward(const ConstTensors& grad_outputs,
     Tensor& dX = *grad_inputs[0];
     gemm(backend_, B, in, out, 1.0f, dY.data(), W.data(), 0.0f, dX.data());
   }
-  if (grad_inputs[1]) {  // dW = dY^T x X  (out x in)
-    grad_inputs[1]->fill(0.0f);
+  if (grad_inputs[1])  // dW = dY^T x X  (out x in), written once
     gemm_at_b(backend_, out, in, B, dY.data(), X.data(),
-              grad_inputs[1]->data());
-  }
+              grad_inputs[1]->data(), /*beta=*/0.0f);
   if (grad_inputs[2]) {  // dbias = column sum of dY
     Tensor& db = *grad_inputs[2];
     db.fill(0.0f);

@@ -93,15 +93,28 @@ struct GemmEpilogue {
 void gemm(GemmBackend backend, std::int64_t M, std::int64_t N, std::int64_t K,
           float alpha, const float* A, const float* B, float beta, float* C);
 
-/// C += A^T x B where A is (KxM): used by weight-gradient computation.
-/// kNaive is the serial reference; kBlocked/kPacked run a k-blocked tiling
-/// with C row blocks spread over the shared thread pool.
+/// C = A^T x B + beta * C where A is (KxM): used by weight-gradient
+/// computation (beta = 0 writes C once, with no separate fill pass).
+/// kNaive is the serial reference; kBlocked runs a k-blocked axpy tiling
+/// with C row blocks spread over the shared thread pool; kPacked packs A^T
+/// panels and runs the gemm_packed_ex core.
+///
+/// Every backend accumulates each C element in ascending k with one fma
+/// per term, but kNaive and kBlocked skip the terms where A is exactly
+/// zero while kPacked adds them. A skipped term 0 * b changes nothing
+/// unless b is inf or NaN, so with beta == 0 (or C starting at zero)
+/// kPacked and kBlocked are bitwise equal exactly when B is finite at the
+/// zeros of A. With a nonzero C, kPacked adds the whole dot product to C
+/// in one rounding where kBlocked rounds after every term.
 void gemm_at_b(GemmBackend backend, std::int64_t M, std::int64_t N,
-               std::int64_t K, const float* A, const float* B, float* C);
+               std::int64_t K, const float* A, const float* B, float* C,
+               float beta = 1.0f);
 
 /// C += A x B^T where B is (NxK): used by input-gradient computation.
-/// kNaive is the serial reference; kBlocked/kPacked tile over rows/columns
-/// of C with row blocks spread over the shared thread pool.
+/// kNaive is the serial reference; kBlocked tiles over rows/columns of C
+/// with one SIMD dot product per element; kPacked is gemm_packed_ex with
+/// b_transposed and beta = 1 (a different summation order from kBlocked,
+/// so the two agree to rounding, not bitwise).
 void gemm_a_bt(GemmBackend backend, std::int64_t M, std::int64_t N,
                std::int64_t K, const float* A, const float* B, float* C);
 
@@ -146,11 +159,21 @@ std::int64_t gemm_micro_nr();
 /// kPacked core with optional pre-packed operands. Computes
 /// C = alpha * A x B + beta * C. `packedA` / `packedB` — when non-null —
 /// must hold gemm_pack_a(M, K, A) / gemm_pack_b(K, N, B) output; null
-/// operands are packed per call into grow-only thread-local workspaces.
-/// When `b_transposed` is true, B is stored (N x K) and packed via
-/// gemm_pack_bt instead (packedB, if given, must match that layout).
-/// Both paths run identical arithmetic, so prepacked vs per-call results
-/// are bitwise equal.
+/// operands are packed per call. When `b_transposed` is true, B is stored
+/// (N x K) and packed via gemm_pack_bt instead (packedB, if given, must
+/// match that layout).
+///
+/// Per-call packing goes where it is reused. With more than one kMR-row
+/// block, every B panel serves every row block, so all panels pack into a
+/// grow-only thread-local workspace first. With M <= kMR (one row block,
+/// e.g. a small-batch training Linear) each panel is used once: the column
+/// panels run as the parallel chunks, a full panel of a non-transposed B
+/// is read in place at stride N, and a transposed or ragged panel is packed
+/// into a cache-resident per-thread tile just before its use. Neither path
+/// ever reads B past column N. All paths feed each C element the same panel
+/// values through the same microkernel (ascending-k fma chain, one fma
+/// writeback), so prepacked, workspace and streamed results are bitwise
+/// equal at any thread count and dispatch mode.
 ///
 /// `epi` — when non-null and active — fuses the bias / activation-chain
 /// epilogue into the GEMM (requires beta == 0: each C element is produced

@@ -3,9 +3,14 @@
 // uses over DeepBench sizes).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
 
 #include "core/rng.hpp"
+#include "core/simd.hpp"
+#include "core/threadpool.hpp"
 #include "ops/gemm.hpp"
 #include "ops/validation.hpp"
 
@@ -114,6 +119,68 @@ TEST(Gemm, TransposedHelpersMatchNaive) {
       ASSERT_NEAR(D[i], D_ref[i], 1e-3f)
           << "backend=" << gemm_backend_name(backend);
   }
+}
+
+// kPacked gemm_at_b packs A^T panels and adds every term, where kBlocked
+// skips exact zeros of A; with C written from zero and a finite B the two
+// are bitwise equal (gemm.hpp). A holds +0 and -0 entries so the skipped
+// terms are exercised, at shapes on both sides of the single-row-block
+// split, under both dispatch modes and at 1 and 4 threads.
+TEST(Gemm, PackedAtBMatchesBlockedBitwiseWithZerosInA) {
+  const simd::KernelDispatch saved = simd::kernel_dispatch();
+  for (const int threads : {1, 4}) {
+    ThreadPool::instance().reset(threads);
+    for (const auto dm :
+         {simd::KernelDispatch::kScalar, simd::KernelDispatch::kSimd}) {
+      simd::set_kernel_dispatch(dm);
+      for (const auto& [M, N, K] :
+           {std::tuple{1, 1, 1}, std::tuple{5, 17, 3}, std::tuple{6, 16, 8},
+            std::tuple{13, 40, 4}, std::tuple{70, 37, 130},
+            std::tuple{7, 33, 65}}) {
+        Rng rng(static_cast<std::uint64_t>(M * 1000 + N * 10 + K));
+        std::vector<float> A(static_cast<std::size_t>(K) * M);
+        std::vector<float> B(static_cast<std::size_t>(K) * N);
+        fill_random(A, rng);
+        fill_random(B, rng);
+        for (std::size_t i = 0; i < A.size(); i += 3)
+          A[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+        const std::size_t mn = static_cast<std::size_t>(M) * N;
+        std::vector<float> blocked(mn, 0.0f), packed(mn, 0.0f);
+        gemm_at_b(GemmBackend::kBlocked, M, N, K, A.data(), B.data(),
+                  blocked.data());
+        gemm_at_b(GemmBackend::kPacked, M, N, K, A.data(), B.data(),
+                  packed.data());
+        const std::string what = std::to_string(M) + "x" + std::to_string(N) +
+                                 "x" + std::to_string(K) + " threads=" +
+                                 std::to_string(threads) + " dispatch=" +
+                                 simd::kernel_dispatch_name(dm);
+        ASSERT_EQ(std::memcmp(blocked.data(), packed.data(), mn * 4), 0)
+            << "accumulate into zeros " << what;
+        // beta = 0 overwrites whatever C held, on both backends.
+        std::vector<float> b0(mn, 7.0f), p0(mn, -3.0f);
+        gemm_at_b(GemmBackend::kBlocked, M, N, K, A.data(), B.data(),
+                  b0.data(), 0.0f);
+        gemm_at_b(GemmBackend::kPacked, M, N, K, A.data(), B.data(),
+                  p0.data(), 0.0f);
+        ASSERT_EQ(std::memcmp(b0.data(), blocked.data(), mn * 4), 0) << what;
+        ASSERT_EQ(std::memcmp(p0.data(), blocked.data(), mn * 4), 0) << what;
+      }
+    }
+  }
+  simd::set_kernel_dispatch(saved);
+  ThreadPool::instance().reset(1);
+}
+
+// The documented edge of that equality: a zero of A against an infinite B
+// is skipped by kBlocked but adds 0 * inf = NaN on kPacked.
+TEST(Gemm, PackedAtBDiffersFromBlockedOnlyThroughNonFiniteB) {
+  const float A[2] = {0.0f, 1.0f};  // K=2, M=1
+  const float B[2] = {std::numeric_limits<float>::infinity(), 2.0f};
+  float blocked = 0.0f, packed = 0.0f;
+  gemm_at_b(GemmBackend::kBlocked, 1, 1, 2, A, B, &blocked);
+  gemm_at_b(GemmBackend::kPacked, 1, 1, 2, A, B, &packed);
+  EXPECT_EQ(blocked, 2.0f);
+  EXPECT_TRUE(std::isnan(packed));
 }
 
 TEST(MatMulOp, ShapeInferenceAndForward) {

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 #include "core/error.hpp"
 #include "frameworks/plan_executor.hpp"
@@ -402,6 +403,59 @@ TEST(FuseConvBn, EvalModeFoldMatchesWithinTolerance) {
   for (std::int64_t i = 0; i < want.at("logits").elements(); ++i)
     if (got2.at("logits").at(i) != got.at("logits").at(i)) moved = true;
   EXPECT_TRUE(moved);
+}
+
+// The eval fold shares the inner conv's prepack slot with the executor's
+// weight cache, which uninstalls the panels at every new parameter version
+// and repacks them on the second forward. The fold lends its panels only
+// for its own call, so between calls the slot holds the executor's panels
+// of the live filter or nothing — never folded or stale panels — and every
+// eval and training forward matches a prepack-off executor bit for bit
+// across mode flips and weight updates.
+TEST(FuseConvBn, EvalFoldNeverLeavesFoldedOrStalePanelsInPrepackSlot) {
+  const Model m = conv_bn_relu_model(true);
+  const TensorMap feeds = conv_feeds(19);
+  std::vector<std::unique_ptr<PlanExecutor>> execs;
+  for (const bool prepack : {true, false}) {
+    ExecOptions opt;
+    opt.passes = "fuse-conv-bn";
+    opt.prepack_weights = prepack;
+    execs.push_back(std::make_unique<PlanExecutor>(
+        build_network(m), prepack ? "prepack-on" : "prepack-off", opt));
+  }
+  const auto& on_net = static_cast<const Network&>(execs[0]->network());
+  const auto* fused =
+      dynamic_cast<const FusedConvBnOp*>(on_net.nodes()[0].op.get());
+  ASSERT_NE(fused, nullptr);
+
+  auto check = [&](const std::string& when) {
+    std::vector<TensorMap> outs;
+    for (auto& e : execs) outs.push_back(e->inference(feeds));
+    const Tensor& a = outs[0].at("logits");
+    const Tensor& b = outs[1].at("logits");
+    ASSERT_EQ(std::memcmp(a.data(), b.data(), a.bytes()), 0) << when;
+    const float* src = fused->conv().prepacked_src();
+    EXPECT_TRUE(src == nullptr || src == on_net.fetch_tensor("w").data())
+        << "conv prepack slot holds panels of another tensor " << when;
+  };
+  auto scale_weights = [&](float f) {
+    for (auto& e : execs) {
+      Tensor& w = e->network().fetch_tensor("w");  // bumps the version
+      for (std::int64_t i = 0; i < w.elements(); ++i) w.at(i) *= f;
+    }
+  };
+
+  for (auto& e : execs) e->inference_and_backprop(feeds, "loss");
+  for (auto& e : execs) e->network().set_training(false);
+  for (int i = 0; i < 3; ++i) check("eval " + std::to_string(i));
+  scale_weights(1.25f);
+  for (int i = 0; i < 3; ++i) check("eval after update " + std::to_string(i));
+  for (auto& e : execs) e->network().set_training(true);
+  for (int i = 0; i < 2; ++i) check("train-mode " + std::to_string(i));
+  scale_weights(0.5f);
+  check("train-mode after update");
+  for (auto& e : execs) e->network().set_training(false);
+  for (int i = 0; i < 2; ++i) check("eval after flip " + std::to_string(i));
 }
 
 // ---- constfold -------------------------------------------------------------

@@ -299,6 +299,36 @@ TEST_F(ServingTest, WarmRunBatchDoesZeroHeapAllocations) {
       << (after - before) << " heap allocations across warm serving batches";
 }
 
+// Each bucket's two warm-up calls leave its weight panels installed (the
+// second forward at one parameter version repacks), so warm traffic never
+// repacks: no plan/prepack span fires across warm batches.
+TEST_F(ServingTest, WarmRunBatchNeverRepacks) {
+  ThreadPool::instance().reset(1);
+  InferenceSession s(test_model(), {1, 2, 4, 8}, "norepack");
+  const std::vector<float> in = make_inputs(8, 9);
+  std::vector<float> out;
+  auto reqs = make_requests(in, &out);
+  std::vector<InferenceSession::Request*> p;
+  for (auto& r : reqs) p.push_back(&r);
+
+  Trace::reset();
+  Trace::enable();
+  for (int rep = 0; rep < 3; ++rep)
+    for (const std::int64_t k : {1, 2, 3, 4, 8}) s.run_batch(p.data(), k);
+  Trace::disable();
+  int prepacks = 0, op_spans = 0;
+  for (const auto& tt : Trace::collect())
+    for (const TraceRecord& r : tt.records) {
+      if (r.kind != TraceKind::kSpanBegin) continue;
+      const std::string_view cat(r.category);
+      if (cat == "op") ++op_spans;
+      if (cat == "plan" && std::string_view(r.name) == "prepack") ++prepacks;
+    }
+  Trace::reset();
+  EXPECT_GT(op_spans, 0) << "tracing recorded no operator spans";
+  EXPECT_EQ(prepacks, 0) << prepacks << " repacks across warm serving batches";
+}
+
 // ---------------------------------------------------------------------------
 // SessionPool end-to-end.
 

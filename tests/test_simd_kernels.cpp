@@ -23,6 +23,7 @@
 #include "core/rng.hpp"
 #include "core/simd.hpp"
 #include "core/threadpool.hpp"
+#include "core/trace.hpp"
 #include "dist/dist_optimizer.hpp"
 #include "frameworks/native_optimizers.hpp"
 #include "frameworks/plan_executor.hpp"
@@ -312,6 +313,115 @@ TEST(SimdKernels, PackedBitIdenticalAcrossDispatchAndPrepack) {
       << "kPacked scalar vs simd dispatch";
 }
 
+// Single-row-block kPacked GEMMs (M <= MR) stream their B panels: a full
+// panel of a non-transposed B is read in place, a transposed or ragged one
+// is packed into a per-thread tile just before its one use. Row r of C
+// depends only on row r of A, so the first M rows of an (M + MR)-row GEMM —
+// which takes the full-workspace path — are the reference: streamed and
+// prepacked results must match them bit for bit, at the panel-tail widths,
+// at K values that exercise both the 8 x 8 transpose blocks and their
+// element tails, with and without the fused epilogue, in both dispatch
+// modes (kScalar also selects the portable transpose, and the reference
+// must match across modes), at 1 and 4 threads.
+
+TEST(SimdKernels, PackedSingleRowBlockMatchesWorkspaceAndPrepackBitwise) {
+  DispatchGuard dispatch_guard;
+  const std::int64_t mr = gemm_micro_mr(), nr = gemm_micro_nr();
+  const std::int64_t max_m = 7, big_m = max_m + mr;  // big_m spans 2+ blocks
+  std::vector<std::int64_t> widths{nr - 1, nr, nr + 1, 3 * nr + 5};
+  widths.erase(std::remove(widths.begin(), widths.end(), 0), widths.end());
+  const Activation chain[] = {Activation::kTanh, Activation::kReLU};
+  enum class Epi { kNone, kAlphaBeta, kBias, kChainSavePre };
+
+  for (const int threads : {1, 4}) {
+    ThreadPool::instance().reset(threads);
+    for (const auto dm :
+         {simd::KernelDispatch::kScalar, simd::KernelDispatch::kSimd}) {
+      simd::set_kernel_dispatch(dm);
+      for (const std::int64_t K : {1, 7, 8, 1029}) {
+        for (const std::int64_t N : widths) {
+          for (const bool bt : {false, true}) {
+            Rng rng(113 + static_cast<std::uint64_t>(K * 7 + N));
+            Tensor A({big_m, K}), B(bt ? Shape{N, K} : Shape{K, N});
+            Tensor bias({N}), C0({big_m, N});
+            A.fill_uniform(rng, -1, 1);
+            B.fill_uniform(rng, -1, 1);
+            bias.fill_uniform(rng, -1, 1);
+            C0.fill_uniform(rng, -1, 1);  // beta != 0 reads it
+            std::vector<float> panels(
+                static_cast<std::size_t>(gemm_packed_b_elems(K, N)));
+            if (bt)
+              gemm_pack_bt(N, K, B.data(), panels.data());
+            else
+              gemm_pack_b(K, N, B.data(), panels.data());
+
+            for (const Epi kind : {Epi::kNone, Epi::kAlphaBeta, Epi::kBias,
+                                   Epi::kChainSavePre}) {
+              const float alpha = kind == Epi::kAlphaBeta ? 0.75f : 1.0f;
+              const float beta = kind == Epi::kAlphaBeta ? 0.5f : 0.0f;
+              // Runs one GEMM over the first m rows; returns C then the
+              // saved pre-chain values (empty unless kChainSavePre).
+              auto run = [&](std::int64_t m, const float* pb) {
+                std::vector<float> c(C0.data(), C0.data() + m * N);
+                std::vector<float> pre(
+                    kind == Epi::kChainSavePre ? static_cast<std::size_t>(m * N)
+                                               : 0);
+                GemmEpilogue epi;
+                if (kind == Epi::kBias || kind == Epi::kChainSavePre)
+                  epi.bias = bias.data();
+                if (kind == Epi::kChainSavePre) {
+                  epi.chain = chain;
+                  epi.chain_len = 2;
+                  epi.save_pre = pre.data();
+                }
+                gemm_packed_ex(m, N, K, alpha, A.data(), nullptr, B.data(), pb,
+                               bt, beta, c.data(), &epi);
+                c.insert(c.end(), pre.begin(), pre.end());
+                return c;
+              };
+              const std::vector<float> ref = run(big_m, nullptr);
+              // kScalar packs transposed panels with the element loop, so
+              // this also pins the 8 x 8 transpose blocks to it.
+              simd::set_kernel_dispatch(simd::KernelDispatch::kScalar);
+              const std::vector<float> scalar_ref = run(big_m, nullptr);
+              simd::set_kernel_dispatch(dm);
+              ASSERT_EQ(std::memcmp(ref.data(), scalar_ref.data(),
+                                    ref.size() * 4),
+                        0)
+                  << "workspace path vs scalar dispatch, N=" << N
+                  << " K=" << K << " bt=" << bt;
+              for (std::int64_t M = 1; M <= max_m; ++M) {
+                const std::string what =
+                    "M=" + std::to_string(M) + " N=" + std::to_string(N) +
+                    " K=" + std::to_string(K) + " bt=" + std::to_string(bt) +
+                    " epi=" + std::to_string(static_cast<int>(kind)) +
+                    " threads=" + std::to_string(threads) + " dispatch=" +
+                    simd::kernel_dispatch_name(dm);
+                const std::size_t mn = static_cast<std::size_t>(M * N);
+                for (const float* pb : {static_cast<const float*>(nullptr),
+                                        static_cast<const float*>(
+                                            panels.data())}) {
+                  const std::vector<float> got = run(M, pb);
+                  const char* path = pb ? "prepacked" : "streamed";
+                  ASSERT_EQ(std::memcmp(got.data(), ref.data(), mn * 4), 0)
+                      << path << " C vs workspace " << what;
+                  if (kind == Epi::kChainSavePre) {
+                    ASSERT_EQ(std::memcmp(got.data() + mn,
+                                          ref.data() + big_m * N, mn * 4),
+                              0)
+                        << path << " save_pre vs workspace " << what;
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  ThreadPool::instance().reset(1);
+}
+
 // ---------------------------------------------------------------------------
 // Shared optimizer update kernels (train/update_kernels) against a scalar
 // oracle that spells out the same fma pairing with std::fma: bitwise equal
@@ -469,23 +579,27 @@ TEST(SimdKernels, AdamTrainingTrajectoryAgreesAcrossDispatch) {
 // shows up as divergent parameters. Snapshots read through a const
 // Network so the test itself never bumps the version.
 
+/// Random feeds for a models::mlp network with 4 classes.
+TensorMap mlp_feeds(const Model& m, std::uint64_t seed) {
+  TensorMap feeds;
+  Network net = build_network(m);
+  Rng rng(seed);
+  for (const auto& iname : net.inputs()) {
+    Tensor t(net.input_shape(iname));
+    if (iname == "labels")
+      for (std::int64_t i = 0; i < t.elements(); ++i)
+        t.at(i) = static_cast<float>(rng.below(4));
+    else
+      t.fill_uniform(rng, -1, 1);
+    feeds[iname] = std::move(t);
+  }
+  return feeds;
+}
+
 TEST(SimdKernels, PrepackCacheInvalidatesAfterOptimizerSteps) {
   ThreadPool::instance().reset(1);
   const Model m = models::mlp(4, 24, {16, 12}, 4, 79);
-  TensorMap feeds;
-  {
-    Network net = build_network(m);
-    Rng rng(83);
-    for (const auto& iname : net.inputs()) {
-      Tensor t(net.input_shape(iname));
-      if (iname == "labels")
-        for (std::int64_t i = 0; i < t.elements(); ++i)
-          t.at(i) = static_cast<float>(rng.below(4));
-      else
-        t.fill_uniform(rng, -1, 1);
-      feeds[iname] = std::move(t);
-    }
-  }
+  const TensorMap feeds = mlp_feeds(m, 83);
 
   // Each input trains two steps on `exec`, calling after(s) after step s.
   using Train = std::function<void(PlanExecutor& exec,
@@ -545,6 +659,88 @@ TEST(SimdKernels, PrepackCacheInvalidatesAfterOptimizerSteps) {
           << input << ": prepack on/off diverged at " << key;
     }
   }
+}
+
+// Repack on reuse: panels are packed only where a forward reuses them. The
+// first forward at a parameter version runs on per-call packing; the second
+// at the same version repacks (one plan/prepack span); an optimizer step
+// uninstalls them, so a training loop never repacks. Outputs and trained
+// parameters stay bitwise equal to a prepack-off executor throughout.
+
+/// Runs `fn` with tracing on and returns the plan/prepack spans it opened.
+template <class F>
+int count_prepack_spans(F&& fn) {
+  Trace::reset();
+  Trace::enable();
+  fn();
+  Trace::disable();
+  int n = 0;
+  for (const auto& tt : Trace::collect())
+    for (const TraceRecord& r : tt.records)
+      if (r.kind == TraceKind::kSpanBegin &&
+          std::string_view(r.category) == "plan" &&
+          std::string_view(r.name) == "prepack")
+        ++n;
+  return n;
+}
+
+TEST(SimdKernels, PrepackRepacksOnlyOnSecondForwardAtOneVersion) {
+  ThreadPool::instance().reset(1);
+  const Model m = models::mlp(4, 24, {16, 12}, 4, 79);
+  const TensorMap feeds = mlp_feeds(m, 83);
+  ExecOptions on, off;
+  off.prepack_weights = false;
+  PlanExecutor exec_on(build_network(m), "prepack-on", on);
+  PlanExecutor exec_off(build_network(m), "prepack-off", off);
+  AdamOptimizer opt_on(exec_on, 1e-2), opt_off(exec_off, 1e-2);
+  opt_on.set_loss_value("loss");
+  opt_off.set_loss_value("loss");
+
+  auto expect_same_outputs = [&](const std::string& when) {
+    const TensorMap want = exec_off.inference(feeds);
+    const TensorMap got = exec_on.inference(feeds);
+    for (const auto& [name, t] : want)
+      ASSERT_EQ(std::memcmp(t.data(), got.at(name).data(), t.bytes()), 0)
+          << name << " " << when;
+  };
+  auto forward_spans = [&] {
+    return count_prepack_spans([&] { (void)exec_on.inference(feeds); });
+  };
+  auto train_spans = [&](int steps) {
+    int n = 0;
+    for (int s = 0; s < steps; ++s) {
+      n += count_prepack_spans([&] { opt_on.train(feeds); });
+      opt_off.train(feeds);
+    }
+    return n;
+  };
+
+  // The first step compiles the training plan (which serves inference
+  // too) and runs its forward unpacked; its update moves the version.
+  EXPECT_EQ(train_spans(1), 0) << "first forward must not pack";
+  EXPECT_EQ(forward_spans(), 0) << "first forward at a version must not pack";
+  EXPECT_EQ(forward_spans(), 1) << "second forward at one version repacks";
+  EXPECT_EQ(forward_spans(), 0) << "warm forward must not repack";
+  expect_same_outputs("with installed panels");
+
+  // A training step consumes the installed panels, then moves the version.
+  EXPECT_EQ(train_spans(1), 0);
+  EXPECT_EQ(forward_spans(), 0) << "first forward after a step is unpacked";
+  expect_same_outputs("second forward after a step (repacks)");
+  EXPECT_EQ(forward_spans(), 0) << "panels stay installed";
+  expect_same_outputs("warm forward after a step");
+
+  // Back-to-back training steps never repack.
+  EXPECT_EQ(train_spans(3), 0) << "a warm training step repacked";
+  expect_same_outputs("first forward after training");
+  const Network& net_on = exec_on.network();
+  const Network& net_off = exec_off.network();
+  for (const auto& pname : net_on.parameters()) {
+    const Tensor& a = net_on.fetch_tensor(pname);
+    const Tensor& b = net_off.fetch_tensor(pname);
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.bytes()), 0) << pname;
+  }
+  Trace::reset();
 }
 
 // Op-level cache contract: panels are consumed only while the weight input
